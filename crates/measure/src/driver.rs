@@ -23,10 +23,11 @@
 //! `cloudia-solver` (`CandidatePruneRule`) enforces this with an explicit
 //! protected set.
 
-use std::collections::HashSet;
+use std::cell::RefCell;
 
 use cloudia_netsim::Network;
 
+use crate::pairs::PairSet;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme, SnapshotTracker};
 use crate::stats::PairwiseStats;
 
@@ -123,7 +124,8 @@ pub fn run_pruned<S: Scheme + ?Sized>(
     rule: &dyn PruneRule,
 ) -> PrunedReport {
     let mut driver = scheme.driver(net, cfg, stats);
-    let mut dropped: HashSet<(u32, u32)> = HashSet::new();
+    let mut scratch = PairSet::new();
+    let mut dropped = 0usize;
     let mut saved_round_trips = 0u64;
     loop {
         // Between stages (and before the first one, when accumulated
@@ -134,19 +136,12 @@ pub fn run_pruned<S: Scheme + ?Sized>(
             if !remaining.is_empty() {
                 let condemned = rule.prune(driver.stats(), &remaining);
                 if !condemned.is_empty() {
-                    let drop: HashSet<(u32, u32)> =
-                        condemned.into_iter().map(|(a, b)| norm_pair(a, b)).collect();
-                    let saved = driver.retain_pairs(&mut |a, b| !drop.contains(&norm_pair(a, b)));
+                    let (newly, saved) =
+                        drop_condemned(driver.as_mut(), &remaining, &condemned, &mut scratch);
+                    dropped += newly;
                     saved_round_trips += saved;
-                    let before = dropped.len();
-                    dropped.extend(
-                        remaining
-                            .iter()
-                            .map(|&(a, b)| norm_pair(a, b))
-                            .filter(|key| drop.contains(key)),
-                    );
                     cloudia_obs::counters(&[
-                        ("sweep.prune.dropped_pairs", (dropped.len() - before) as u64),
+                        ("sweep.prune.dropped_pairs", newly as u64),
                         ("sweep.prune.saved_round_trips", saved),
                     ]);
                 }
@@ -156,7 +151,29 @@ pub fn run_pruned<S: Scheme + ?Sized>(
             break;
         }
     }
-    PrunedReport { report: driver.finish(), dropped_pairs: dropped.len(), saved_round_trips }
+    PrunedReport { report: driver.finish(), dropped_pairs: dropped, saved_round_trips }
+}
+
+/// Drops every `condemned` pair from `driver`'s schedule. Returns the
+/// distinct unordered pairs of `remaining` that were dropped and the
+/// round trips saved. `scratch` is empty on entry and on return: only
+/// the condemned pairs' bits are set and then cleared, so a stage costs
+/// O(remaining + condemned), never O(m²). A dropped pair leaves every
+/// future stage, so it can never be counted again by a later call.
+fn drop_condemned(
+    driver: &mut dyn SweepDriver,
+    remaining: &[(u32, u32)],
+    condemned: &[(u32, u32)],
+    scratch: &mut PairSet,
+) -> (usize, u64) {
+    scratch.extend(condemned.iter().copied());
+    let saved = driver.retain_pairs(&mut |a, b| !scratch.contains(a, b));
+    // Removing a mark as it is counted counts each unordered pair once.
+    let dropped = remaining.iter().filter(|&&(a, b)| scratch.remove(a, b)).count();
+    for &(a, b) in condemned {
+        scratch.remove(a, b);
+    }
+    (dropped, saved)
 }
 
 /// An anytime stopping policy, evaluated between stages by
@@ -216,7 +233,8 @@ pub fn run_anytime<S: Scheme + ?Sized>(
     stop: &dyn StopRule,
 ) -> AnytimeReport {
     let mut driver = scheme.driver(net, cfg, stats);
-    let mut dropped: HashSet<(u32, u32)> = HashSet::new();
+    let mut scratch = PairSet::new();
+    let mut dropped = 0usize;
     let mut saved_round_trips = 0u64;
     let mut stopped_early = false;
     loop {
@@ -229,35 +247,28 @@ pub fn run_anytime<S: Scheme + ?Sized>(
                     stopped_early = true;
                     let saved = driver.retain_pairs(&mut |a, b| stop.must_keep(a, b));
                     saved_round_trips += saved;
-                    let before = dropped.len();
-                    dropped.extend(
-                        remaining
-                            .iter()
-                            .map(|&(a, b)| norm_pair(a, b))
-                            .filter(|&(a, b)| !stop.must_keep(a, b)),
-                    );
+                    let newly = remaining
+                        .iter()
+                        .filter(|&&(a, b)| !stop.must_keep(a, b) && scratch.insert(a, b))
+                        .count();
+                    for &(a, b) in &remaining {
+                        scratch.remove(a, b);
+                    }
+                    dropped += newly;
                     cloudia_obs::counters(&[
                         ("sweep.anytime.stopped_early", 1),
-                        ("sweep.anytime.dropped_pairs", (dropped.len() - before) as u64),
+                        ("sweep.anytime.dropped_pairs", newly as u64),
                         ("sweep.anytime.saved_round_trips", saved),
                     ]);
                 } else {
                     let condemned = rule.prune(driver.stats(), &remaining);
                     if !condemned.is_empty() {
-                        let drop: HashSet<(u32, u32)> =
-                            condemned.into_iter().map(|(a, b)| norm_pair(a, b)).collect();
-                        let saved =
-                            driver.retain_pairs(&mut |a, b| !drop.contains(&norm_pair(a, b)));
+                        let (newly, saved) =
+                            drop_condemned(driver.as_mut(), &remaining, &condemned, &mut scratch);
+                        dropped += newly;
                         saved_round_trips += saved;
-                        let before = dropped.len();
-                        dropped.extend(
-                            remaining
-                                .iter()
-                                .map(|&(a, b)| norm_pair(a, b))
-                                .filter(|key| drop.contains(key)),
-                        );
                         cloudia_obs::counters(&[
-                            ("sweep.prune.dropped_pairs", (dropped.len() - before) as u64),
+                            ("sweep.prune.dropped_pairs", newly as u64),
                             ("sweep.prune.saved_round_trips", saved),
                         ]);
                     }
@@ -270,7 +281,7 @@ pub fn run_anytime<S: Scheme + ?Sized>(
     }
     AnytimeReport {
         report: driver.finish(),
-        dropped_pairs: dropped.len(),
+        dropped_pairs: dropped,
         saved_round_trips,
         stopped_early,
     }
@@ -303,6 +314,8 @@ pub(crate) struct StageDriver<'n> {
     workers: usize,
     done: bool,
     tally: StageTally,
+    /// Empty-between-calls scratch marks of [`SweepDriver::remaining_pairs`].
+    seen: RefCell<PairSet>,
 }
 
 /// Local telemetry accumulator for one driver run. Stages add plain
@@ -382,6 +395,10 @@ impl<'n> StageDriver<'n> {
         let n = net.len();
         assert!(n >= 2, "need at least two instances to measure");
         assert_eq!(stats.len(), n, "stats sized for {} instances, network has {n}", stats.len());
+        debug_assert!(
+            stages.iter().flatten().all(|&(a, b, _)| a < b),
+            "stage schedules hold normalized pairs"
+        );
         // Auto mode (stage_workers = 0) only fans out when a stage is
         // wide enough to amortize thread spawns; an explicit width is
         // honoured as given (the determinism contract makes any width
@@ -413,6 +430,7 @@ impl<'n> StageDriver<'n> {
             workers,
             done: false,
             tally: StageTally::default(),
+            seen: RefCell::new(PairSet::new()),
         }
     }
 
@@ -535,13 +553,13 @@ impl SweepDriver for StageDriver<'_> {
         // only work that can still complete. A fresh driver (the next
         // epoch) re-attempts them.
         if !outcome.dark.is_empty() {
-            let dark: HashSet<(u32, u32)> = outcome
+            let dark: PairSet = outcome
                 .dark
                 .iter()
-                .map(|&pid| norm_pair(directed[pid].0 as u32, directed[pid].1 as u32))
+                .map(|&pid| (directed[pid].0 as u32, directed[pid].1 as u32))
                 .collect();
             for stage in &mut self.stages {
-                stage.retain(|&(a, b, _)| !dark.contains(&norm_pair(a, b)));
+                stage.retain(|&(a, b, _)| !dark.contains(a, b));
             }
         }
         // Coordinator round before the next stage.
@@ -563,14 +581,21 @@ impl SweepDriver for StageDriver<'_> {
     }
 
     fn remaining_pairs(&self) -> Vec<(u32, u32)> {
-        let mut seen = HashSet::new();
+        // Mark each pair on first sight, then clear exactly the marks
+        // set: O(scheduled entries) per call, no hashing, no O(m²)
+        // clear. Schedules hold normalized pairs (`a < b`), so the
+        // unordered mark dedups exactly like the ordered pair would.
+        let mut seen = self.seen.borrow_mut();
         let mut out = Vec::new();
         for stage in self.remaining_stages() {
             for &(a, b, _) in stage {
-                if seen.insert((a, b)) {
+                if seen.insert(a, b) {
                     out.push((a, b));
                 }
             }
+        }
+        for &(a, b) in &out {
+            seen.remove(a, b);
         }
         out
     }
@@ -746,6 +771,70 @@ mod tests {
             anytime.report.stats.link(0, 1).count() + anytime.report.stats.link(1, 0).count();
         assert!(kept > 0, "must_keep pair was dropped");
         assert_eq!(kept, full.stats.link(0, 1).count() + full.stats.link(1, 0).count());
+    }
+
+    /// The pre-bitmap `remaining_pairs`: a `HashSet` dedup over the
+    /// remaining stages, kept as the oracle.
+    fn remaining_by_hash_set(driver: &StageDriver<'_>) -> Vec<(u32, u32)> {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        for stage in driver.remaining_stages() {
+            for &(a, b, _) in stage {
+                if seen.insert((a, b)) {
+                    out.push((a, b));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn remaining_pairs_match_the_hash_set_dedup_at_every_stage() {
+        let n = 9;
+        let mut net = network(n, 6);
+        // Heavy loss strikes dark pairs from future stages mid-run.
+        net.set_loss(cloudia_netsim::LossPlane::uniform(n, 0.3));
+        let cfg = MeasureConfig { seed: 6, ..MeasureConfig::default() };
+        let rounds = n + n % 2 - 1;
+        let staged: Vec<Vec<(u32, u32, usize)>> = (0..rounds)
+            .map(|r| {
+                Staged::circle_pairs(n, r)
+                    .into_iter()
+                    .map(|(a, b)| (a as u32, b as u32, 2))
+                    .collect()
+            })
+            .collect();
+        let mut plan = ProbePlan::new(n);
+        plan.add_clique(&[0, 2, 3, 5, 8]);
+        plan.add_pair(1, 7);
+        let focused: Vec<Vec<(u32, u32, usize)>> = plan
+            .stages()
+            .into_iter()
+            .map(|stage| stage.into_iter().map(|(a, b)| (a, b, 2)).collect())
+            .collect();
+        for (name, stages) in [("staged", staged), ("focused", focused)] {
+            let mut driver =
+                StageDriver::new(name, &net, &cfg, PairwiseStats::new(n), stages, 3, 0.3);
+            let mut step = 0;
+            loop {
+                assert_eq!(
+                    driver.remaining_pairs(),
+                    remaining_by_hash_set(&driver),
+                    "{name}: stage {step}"
+                );
+                // Mid-run, drop a few pairs the way a prune rule would.
+                if step == 4 {
+                    driver.retain_pairs(&mut |a, b| (a + b) % 3 != 0);
+                    assert_eq!(driver.remaining_pairs(), remaining_by_hash_set(&driver));
+                }
+                if !driver.step() {
+                    break;
+                }
+                step += 1;
+            }
+            assert!(step > 2 * driver.stages.len(), "{name}: the run never crossed a sweep");
+            assert!(driver.remaining_pairs().is_empty());
+        }
     }
 
     #[test]

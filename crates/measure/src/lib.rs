@@ -51,6 +51,7 @@ pub mod ci;
 pub mod driver;
 pub mod error;
 pub mod focused;
+pub mod pairs;
 pub mod pool;
 pub mod scheme;
 pub mod staged;
@@ -63,6 +64,7 @@ pub use driver::{
     run_anytime, run_pruned, AnytimeReport, PruneRule, PrunedReport, StopRule, SweepDriver,
 };
 pub use focused::{FocusedScheme, ProbePlan};
+pub use pairs::PairSet;
 pub use pool::{PoolStats, SweepPool};
 pub use scheme::{MeasureConfig, MeasurementReport, Scheme, Snapshot};
 pub use staged::Staged;

@@ -40,10 +40,11 @@
 //! sufficing — so a long stationary stretch converges to the cheapest pool
 //! that still answers correctly.
 
-use std::collections::HashSet;
+use std::cell::RefCell;
 
-use cloudia_measure::{PairwiseStats, PruneRule};
+use cloudia_measure::{PairSet, PairwiseStats, PruneRule};
 
+use crate::evidence::PointEvidence;
 use crate::problem::{CostMatrix, NodeDeployment};
 
 /// How the candidate pool size `k` is chosen.
@@ -374,71 +375,10 @@ impl CandidateSet {
         let pool: Vec<u32> = if pool_size >= m {
             (0..m as u32).collect()
         } else {
-            // The m ≥ 10k hot loop: one contiguous row-major sweep over
-            // the flat count/mean/attempt columns collects every
-            // observed directed link exactly once — no LinkEstimate
-            // views, and crucially no strided per-instance column walk
-            // (a stride-m pass over three 100M-entry columns is
-            // cache-hostile enough to eat the whole refactor). Each hit
-            // prices its link — an attempted-but-answerless direction (a
-            // dark link under packet loss) *is* evidence, not a coverage
-            // gap, and prices as unboundedly expensive so a dark
-            // instance is scored out of the pool instead of
-            // force-included as "unmeasured" — and feeds both endpoints'
-            // incident lists, laid out CSR-style in one flat scratch
-            // buffer. Incident order differs from the per-link view walk
-            // (which the retained `build_partial_reference` still does),
-            // which is invisible: the quantile and the coverage fraction
-            // are order-independent.
-            let count = stats.count_column();
-            let mean = stats.mean_column();
-            let attempts = stats.attempts_column();
-            let mut deg = vec![0u32; m];
-            let mut hits: Vec<(u32, u32, f64)> = Vec::new();
-            for src in 0..m {
-                let row = src * m;
-                let (row_count, row_mean, row_att) =
-                    (&count[row..row + m], &mean[row..row + m], &attempts[row..row + m]);
-                crate::kernels::scan_row_evidence(row_count, row_att, |dst, observed| {
-                    let price = if observed { row_mean[dst] } else { f64::INFINITY };
-                    hits.push((src as u32, dst as u32, price));
-                    deg[src] += 1;
-                    deg[dst] += 1;
-                });
-            }
-            let mut off = vec![0usize; m + 1];
-            for j in 0..m {
-                off[j + 1] = off[j] + deg[j] as usize;
-            }
-            let mut cursor = off.clone();
-            let mut flat = vec![0.0f64; off[m]];
-            for &(src, dst, price) in &hits {
-                let (src, dst) = (src as usize, dst as usize);
-                flat[cursor[src]] = price;
-                cursor[src] += 1;
-                flat[cursor[dst]] = price;
-                cursor[dst] += 1;
-            }
-            let mut forced: Vec<u32> = Vec::new();
-            let mut scored: Vec<(f64, u32)> = Vec::new();
-            for j in 0..m {
-                let incident = &mut flat[off[j]..off[j + 1]];
-                let coverage = incident.len() as f64 / (2 * (m - 1)) as f64;
-                if incident.is_empty() || coverage < min_coverage {
-                    // Not enough evidence to exclude this instance.
-                    forced.push(j as u32);
-                } else {
-                    let idx = ((incident.len() - 1) as f64 * config.quantile).round() as usize;
-                    let (_, q, _) = incident.select_nth_unstable_by(idx, f64::total_cmp);
-                    scored.push((*q, j as u32));
-                }
-            }
-            scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let take = pool_size.min(scored.len());
-            let mut pool = forced;
-            pool.extend(scored[..take].iter().map(|&(_, j)| j));
-            pool.sort_unstable();
-            pool
+            // One cold fill of the evidence engine the mid-sweep rule
+            // refreshes incrementally, then the same scoring: the pool
+            // is computed one way, not two.
+            PointEvidence::cold(stats).pool(pool_size, config.quantile, min_coverage)
         };
 
         Self::assemble(m, n, pool, incumbent, fixed)
@@ -635,12 +575,12 @@ impl PrunedProblem {
 }
 
 /// The mid-sweep tournament prune rule (implements
-/// [`cloudia_measure::PruneRule`]): between measurement stages it builds
-/// a [`CandidateSet`] from the **partial** statistics
-/// ([`CandidateSet::build_partial`]) and condemns every remaining pair
-/// with an endpoint already proven outside the candidate union — those
-/// links can never carry a deployment, so their remaining probes are
-/// wasted budget.
+/// [`cloudia_measure::PruneRule`]): between measurement stages it scores
+/// the candidate pool from the **partial** statistics — exactly the pool
+/// [`CandidateSet::build_partial`] would build — and condemns every
+/// remaining pair with an endpoint already proven outside the candidate
+/// union. Those links can never carry a deployment, so their remaining
+/// probes are wasted budget.
 ///
 /// Safety rails, in line with the candidate layer's contract:
 ///
@@ -653,6 +593,20 @@ impl PrunedProblem {
 /// * **under-covered instances** (incident coverage below
 ///   `min_coverage`) cannot be proven out and stay in the union, so
 ///   early sweeps prune nothing they might regret.
+///
+/// **Cost and the one-rule-per-sweep contract.** The rule keeps an
+/// incremental evidence store (each directed link's cached price plus
+/// each instance's sorted incident prices) behind a `RefCell`. The first
+/// [`PruneRule::prune`] call fills it in bulk, O(m² + m·d log d) for `d`
+/// priced directions per instance; every later call re-prices the links
+/// from the stats columns, compares bit for bit, and moves only the
+/// prices that changed, so a stage costs one O(m²) compare pass plus
+/// O(changed · m) — not a rebuild with a selection per instance. The
+/// store is a pure function of the columns, so verdicts are identical
+/// to a freshly built rule's for *any* sequence of stats objects; but
+/// the incremental saving only materializes when consecutive calls see
+/// one sweep's growing statistics. Build one rule per sweep (as
+/// `OnlineAdvisor` does each epoch), like [`CiStopRule`].
 #[derive(Debug, Clone)]
 pub struct CandidatePruneRule {
     num_nodes: usize,
@@ -660,7 +614,8 @@ pub struct CandidatePruneRule {
     min_coverage: f64,
     incumbent: Option<Vec<u32>>,
     fixed: Option<Vec<Option<u32>>>,
-    protected: HashSet<(u32, u32)>,
+    protected: PairSet,
+    evidence: RefCell<PointEvidence>,
 }
 
 impl CandidatePruneRule {
@@ -682,7 +637,8 @@ impl CandidatePruneRule {
             min_coverage: Self::DEFAULT_MIN_COVERAGE,
             incumbent: None,
             fixed: None,
-            protected: HashSet::new(),
+            protected: PairSet::new(),
+            evidence: RefCell::default(),
         }
     }
 
@@ -718,9 +674,7 @@ impl CandidatePruneRule {
     /// links, staleness refreshes, anything the caller still owes a
     /// measurement).
     pub fn protect_pair(&mut self, a: u32, b: u32) {
-        if a != b {
-            self.protected.insert((a.min(b), a.max(b)));
-        }
+        self.protected.insert(a, b);
     }
 
     /// Number of explicitly protected pairs.
@@ -734,27 +688,32 @@ impl PruneRule for CandidatePruneRule {
         if stats.total_samples() == 0 {
             return Vec::new();
         }
-        let set = CandidateSet::build_partial(
-            self.num_nodes,
-            stats,
-            &self.config,
-            self.incumbent.as_deref(),
-            self.fixed.as_deref(),
-            self.min_coverage,
-        );
-        if set.is_exact() {
+        let m = stats.len();
+        let pool_size = self.config.pool_size(self.num_nodes, m);
+        if pool_size >= m {
+            // Exact pool: every instance is a candidate.
             return Vec::new();
         }
-        let mut member = vec![false; stats.len()];
-        for &j in set.union() {
+        let pool = {
+            let mut evidence = self.evidence.borrow_mut();
+            evidence.refresh(stats);
+            evidence.pool(pool_size, self.config.quantile, self.min_coverage)
+        };
+        // The candidate union: the pool plus incumbent and pinned
+        // instances, as `CandidateSet::build_partial` assembles it.
+        let mut member = vec![false; m];
+        let extras = self.incumbent.iter().flatten().chain(self.fixed.iter().flatten().flatten());
+        for &j in pool.iter().chain(extras) {
             member[j as usize] = true;
+        }
+        if member.iter().all(|&x| x) {
+            return Vec::new();
         }
         remaining
             .iter()
             .copied()
             .filter(|&(a, b)| {
-                !self.protected.contains(&(a.min(b), a.max(b)))
-                    && (!member[a as usize] || !member[b as usize])
+                (!member[a as usize] || !member[b as usize]) && !self.protected.contains(a, b)
             })
             .collect()
     }
@@ -960,7 +919,7 @@ pub struct CiPruneRule {
     tolerance: f64,
     incumbent: Option<Vec<u32>>,
     fixed: Option<Vec<Option<u32>>>,
-    protected: HashSet<(u32, u32)>,
+    protected: PairSet,
 }
 
 impl CiPruneRule {
@@ -983,7 +942,7 @@ impl CiPruneRule {
             tolerance: 0.0,
             incumbent: None,
             fixed: None,
-            protected: HashSet::new(),
+            protected: PairSet::new(),
         }
     }
 
@@ -1033,9 +992,7 @@ impl CiPruneRule {
 
     /// Marks the unordered pair `{a, b}` as never prunable.
     pub fn protect_pair(&mut self, a: u32, b: u32) {
-        if a != b {
-            self.protected.insert((a.min(b), a.max(b)));
-        }
+        self.protected.insert(a, b);
     }
 
     /// Number of explicitly protected pairs.
@@ -1077,8 +1034,8 @@ impl PruneRule for CiPruneRule {
             .iter()
             .copied()
             .filter(|&(a, b)| {
-                !self.protected.contains(&(a.min(b), a.max(b)))
-                    && (scores.provably_out(a as usize) || scores.provably_out(b as usize))
+                (scores.provably_out(a as usize) || scores.provably_out(b as usize))
+                    && !self.protected.contains(a, b)
             })
             .collect()
     }
@@ -1125,7 +1082,7 @@ impl PruneRule for CiPruneRule {
 pub struct CiStopRule {
     rule: CiPruneRule,
     /// Unordered pairs that keep probing after the stop fires.
-    keep: HashSet<(u32, u32)>,
+    keep: PairSet,
     /// `(verdict fingerprint, total samples)` at the last plateau
     /// checkpoint; `None` before the first evaluation (or after an
     /// under-covered veto reset). A new checkpoint is only compared
@@ -1150,8 +1107,7 @@ impl CiStopRule {
     /// deployed/flagged links feed change detectors every epoch and must
     /// keep their full sample stream.
     pub fn with_must_keep<I: IntoIterator<Item = (u32, u32)>>(mut self, pairs: I) -> Self {
-        self.keep =
-            pairs.into_iter().filter(|&(a, b)| a != b).map(|(a, b)| (a.min(b), a.max(b))).collect();
+        self.keep = pairs.into_iter().collect();
         self
     }
 }
@@ -1213,7 +1169,7 @@ impl cloudia_measure::StopRule for CiStopRule {
     }
 
     fn must_keep(&self, a: u32, b: u32) -> bool {
-        self.keep.contains(&(a.min(b), a.max(b)))
+        self.keep.contains(a, b)
     }
 }
 

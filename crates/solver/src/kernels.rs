@@ -1,13 +1,14 @@
 //! Pinned hot-loop kernels for the candidate-scoring sweeps.
 //!
-//! The m ≥ 10k pool builders ([`crate::CandidateSet::build_partial`] and
-//! the CI scorer behind `build_partial_ci`) spend their time in one
-//! scan: walk a 100k-entry row of the count and attempt columns and
-//! collect the handful of observed links. The natural loop carries two
-//! branches per element (`dst != src`, then the evidence test) and its
-//! autovectorization is at the compiler's mercy; on sparse partial
-//! sweeps (k·m observed links out of m²) almost every element is zero,
-//! so the loop is really a *scan for rare nonzeros*.
+//! The m ≥ 10k pool builders ([`crate::CandidateSet::build_partial`],
+//! the incremental refresh behind [`crate::CandidatePruneRule`], and the
+//! CI scorer `CiScores::build` behind [`crate::CiPruneRule`]) spend their
+//! time in one scan: walk a 100k-entry row of the count and attempt
+//! columns and collect the handful of observed links. The natural loop
+//! carries two branches per element (`dst != src`, then the evidence
+//! test) and its autovectorization is at the compiler's mercy; on
+//! sparse partial sweeps (k·m observed links out of m²) almost every
+//! element is zero, so the loop is really a *scan for rare nonzeros*.
 //!
 //! [`scan_row_evidence`] pins that shape explicitly, in plain stable
 //! Rust (no `std::simd`, no intrinsics): process the row in 4-wide

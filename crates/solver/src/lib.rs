@@ -53,6 +53,7 @@ pub mod cluster;
 pub mod control;
 pub mod cp;
 pub mod encodings;
+mod evidence;
 pub mod greedy;
 pub mod kernels;
 pub mod lp;

@@ -261,7 +261,116 @@ proptest! {
     }
 }
 
-// Satellite (PR 5): the mid-sweep prune rule's safety contract. Whatever
+/// Arbitrary partial statistics over `m` instances: each directed link is
+/// measured with probability `coverage`, with a random mean and sample
+/// count.
+fn random_partial_stats(
+    rng: &mut rand::rngs::StdRng,
+    m: usize,
+    coverage: f64,
+) -> cloudia_measure::PairwiseStats {
+    use rand::Rng;
+    let mut stats = cloudia_measure::PairwiseStats::new(m);
+    for i in 0..m {
+        for j in 0..m {
+            if i != j && rng.random::<f64>() < coverage {
+                let mean = rng.random_range(0.1..5.0);
+                for _ in 0..rng.random_range(1..4usize) {
+                    stats.record(i, j, mean);
+                }
+            }
+        }
+    }
+    stats
+}
+
+/// The safety rails a mid-sweep prune rule is built with: a random
+/// incumbent of `n` distinct instances out of `m`, random pins on it, a
+/// few random protected pairs, and the deployed links of a ring over the
+/// incumbent (protected pairs normalized `(low, high)`).
+struct Guards {
+    incumbent: Vec<u32>,
+    fixed: Vec<Option<u32>>,
+    protected: Vec<(u32, u32)>,
+}
+
+impl Guards {
+    fn random(rng: &mut rand::rngs::StdRng, n: usize, m: usize) -> Self {
+        use rand::Rng;
+        let mut ids: Vec<u32> = (0..m as u32).collect();
+        for i in 0..n {
+            let pick = rng.random_range(i..m);
+            ids.swap(i, pick);
+        }
+        let incumbent: Vec<u32> = ids[..n].to_vec();
+        let fixed: Vec<Option<u32>> =
+            incumbent.iter().map(|&j| if rng.random::<bool>() { Some(j) } else { None }).collect();
+        let mut protected = Vec::new();
+        for _ in 0..5 {
+            let a = rng.random_range(0..m as u32);
+            let b = rng.random_range(0..m as u32);
+            if a != b {
+                protected.push((a.min(b), a.max(b)));
+            }
+        }
+        for v in 0..n {
+            let (a, b) = (incumbent[v], incumbent[(v + 1) % n]);
+            protected.push((a.min(b), a.max(b)));
+        }
+        Self { incumbent, fixed, protected }
+    }
+
+    /// A fresh point-quantile rule carrying these guards.
+    fn rule(
+        &self,
+        config: cloudia_solver::CandidateConfig,
+        min_coverage: f64,
+    ) -> cloudia_solver::CandidatePruneRule {
+        let mut rule = cloudia_solver::CandidatePruneRule::new(self.incumbent.len(), config)
+            .with_min_coverage(min_coverage)
+            .with_incumbent(&self.incumbent)
+            .with_fixed(&self.fixed);
+        for &(a, b) in &self.protected {
+            rule.protect_pair(a, b);
+        }
+        rule
+    }
+
+    /// What the rule must condemn: `build_partial`'s union, then every
+    /// remaining unprotected pair with an endpoint outside it.
+    fn expected_verdict(
+        &self,
+        stats: &cloudia_measure::PairwiseStats,
+        config: &cloudia_solver::CandidateConfig,
+        min_coverage: f64,
+        remaining: &[(u32, u32)],
+    ) -> Vec<(u32, u32)> {
+        if stats.total_samples() == 0 {
+            return Vec::new();
+        }
+        let cs = cloudia_solver::CandidateSet::build_partial(
+            self.incumbent.len(),
+            stats,
+            config,
+            Some(&self.incumbent),
+            Some(&self.fixed),
+            min_coverage,
+        );
+        if cs.is_exact() {
+            return Vec::new();
+        }
+        remaining
+            .iter()
+            .copied()
+            .filter(|&(a, b)| {
+                !self.protected.contains(&(a.min(b), a.max(b)))
+                    && (!cs.union().contains(&a) || !cs.union().contains(&b))
+            })
+            .collect()
+    }
+}
+
+// The mid-sweep prune rule's safety contract. Whatever
 // partial statistics a sweep has accumulated, the rule never condemns a
 // protected pair (deployed links, flagged links, staleness refreshes),
 // never condemns a pair among incumbent/pinned instances, and only
@@ -276,72 +385,29 @@ proptest! {
         pool_k in 4usize..12,
         coverage in 0.0f64..1.0,
     ) {
-        use cloudia_measure::{PairwiseStats, PruneRule};
+        use cloudia_measure::PruneRule;
         use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet, CiPruneRule};
         use rand::{rngs::StdRng, Rng, SeedableRng};
 
         let n = 5usize;
         let mut rng = StdRng::seed_from_u64(seed);
-
-        // Arbitrary partial statistics: each directed link is measured
-        // with probability `coverage`, with a random mean and sample
-        // count.
-        let mut stats = PairwiseStats::new(m);
-        for i in 0..m {
-            for j in 0..m {
-                if i != j && rng.random::<f64>() < coverage {
-                    let mean = rng.random_range(0.1..5.0);
-                    for _ in 0..rng.random_range(1..4usize) {
-                        stats.record(i, j, mean);
-                    }
-                }
-            }
-        }
-
-        // Random incumbent (distinct instances), random pins, a few
-        // random protected pairs.
-        let mut ids: Vec<u32> = (0..m as u32).collect();
-        for i in 0..n {
-            let pick = rng.random_range(i..m);
-            ids.swap(i, pick);
-        }
-        let incumbent: Vec<u32> = ids[..n].to_vec();
-        let fixed: Vec<Option<u32>> = incumbent
-            .iter()
-            .map(|&j| if rng.random::<bool>() { Some(j) } else { None })
-            .collect();
-        let mut rule = CandidatePruneRule::new(n, CandidateConfig::fixed(pool_k))
-            .with_incumbent(&incumbent)
-            .with_fixed(&fixed);
-        let mut protected = Vec::new();
-        for _ in 0..5 {
-            let a = rng.random_range(0..m as u32);
-            let b = rng.random_range(0..m as u32);
-            if a != b {
-                rule.protect_pair(a, b);
-                protected.push((a.min(b), a.max(b)));
-            }
-        }
-        // Deployed links of a ring over the incumbent.
-        for v in 0..n {
-            let (a, b) = (incumbent[v], incumbent[(v + 1) % n]);
-            rule.protect_pair(a, b);
-            protected.push((a.min(b), a.max(b)));
-        }
+        let stats = random_partial_stats(&mut rng, m, coverage);
+        let guards = Guards::random(&mut rng, n, m);
+        let config = CandidateConfig::fixed(pool_k);
+        let rule = guards.rule(config, CandidatePruneRule::DEFAULT_MIN_COVERAGE);
+        let Guards { incumbent, fixed, protected } = &guards;
 
         let remaining: Vec<(u32, u32)> =
             (0..m as u32).flat_map(|a| (a + 1..m as u32).map(move |b| (a, b))).collect();
         let condemned = rule.prune(&stats, &remaining);
+        prop_assert_eq!(
+            &condemned,
+            &guards.expected_verdict(&stats, &config, 0.5, &remaining),
+            "verdict differs from build_partial + union filtering"
+        );
 
         // Recompute the union the rule must have used.
-        let cs = CandidateSet::build_partial(
-            n,
-            &stats,
-            &CandidateConfig::fixed(pool_k),
-            Some(&incumbent),
-            Some(&fixed),
-            0.5,
-        );
+        let cs = CandidateSet::build_partial(n, &stats, &config, Some(incumbent), Some(fixed), 0.5);
         for &(a, b) in &condemned {
             let key = (a.min(b), a.max(b));
             prop_assert!(!protected.contains(&key), "protected pair {key:?} condemned");
@@ -355,7 +421,7 @@ proptest! {
             );
         }
         // Incumbents and pins are always candidates, whatever the stats.
-        for &j in &incumbent {
+        for &j in incumbent {
             prop_assert!(cs.union().contains(&j), "incumbent {j} fell out of the union");
         }
 
@@ -364,11 +430,11 @@ proptest! {
         // the identical contract: protected pairs and incumbent/pinned
         // endpoints are never condemned, whatever the partial evidence.
         let tolerance = if rng.random::<bool>() { 0.05 } else { 0.0 };
-        let mut ci_rule = CiPruneRule::new(n, CandidateConfig::fixed(pool_k), 0.95)
+        let mut ci_rule = CiPruneRule::new(n, config, 0.95)
             .with_tolerance(tolerance)
-            .with_incumbent(&incumbent)
-            .with_fixed(&fixed);
-        for &(a, b) in &protected {
+            .with_incumbent(incumbent)
+            .with_fixed(fixed);
+        for &(a, b) in protected {
             ci_rule.protect_pair(a, b);
         }
         for &(a, b) in &ci_rule.prune(&stats, &remaining) {
@@ -377,6 +443,105 @@ proptest! {
             prop_assert!(
                 !(incumbent.contains(&a) && incumbent.contains(&b)),
                 "incumbent pair ({a},{b}) CI-condemned"
+            );
+        }
+    }
+
+    #[test]
+    fn long_lived_prune_rule_matches_a_fresh_rule_at_every_stage(
+        seed in 0u64..1000,
+        m in 8usize..18,
+        pool_k in 4usize..10,
+        quantile in 0.0f64..1.0,
+        min_coverage in 0.0f64..0.8,
+        blackout in 0.1f64..0.5,
+    ) {
+        use cloudia_measure::{MeasureConfig, PruneRule, Scheme, Staged};
+        use cloudia_netsim::{Cloud, InstanceId, LossPlane, Provider};
+        use cloudia_solver::CandidateConfig;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        // The incremental evidence store behind one long-lived rule must
+        // reach exactly the verdicts a freshly built rule (and
+        // `build_partial` + union filtering) reaches, stage by stage,
+        // through a lossy sweep. Blacking out the first sweep's probe
+        // direction of random pairs makes them go dark (attempted, never
+        // answered) before any pruning can start, so `+∞` prices enter,
+        // and later leave, the sorted lists.
+        let n = 4usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cloud = Cloud::boot(Provider::test_quiet(), seed);
+        let alloc = cloud.allocate(m);
+        let mut net = cloud.network(&alloc);
+        let mut loss = LossPlane::uniform(m, 0.05);
+        for a in 0..m {
+            for b in a + 1..m {
+                if rng.random::<f64>() < blackout {
+                    loss.set_drop_prob(InstanceId(a as u32), InstanceId(b as u32), 1.0);
+                }
+            }
+        }
+        net.set_loss(loss);
+        let guards = Guards::random(&mut rng, n, m);
+        let config = CandidateConfig { quantile, ..CandidateConfig::fixed(pool_k) };
+        let long_lived = guards.rule(config, min_coverage);
+
+        // Three sweeps: the third re-measures the first's directions, so
+        // cached prices move (removal and re-insertion), not just arrive.
+        let cfg = MeasureConfig { seed, ..MeasureConfig::default() };
+        let mut driver = Staged::new(2, 3).driver(&net, &cfg, cloudia_measure::PairwiseStats::new(m));
+        let mut saw_dark = false;
+        let mut history = Vec::new();
+        loop {
+            let stats = driver.stats();
+            history.push(stats.clone());
+            saw_dark |= (0..m).any(|i| {
+                (0..m).any(|j| i != j && stats.link(i, j).count() == 0 && stats.link(i, j).attempts() > 0)
+            });
+            let remaining = driver.remaining_pairs();
+            if stats.total_samples() > 0 && !remaining.is_empty() {
+                let got = long_lived.prune(stats, &remaining);
+                let fresh = guards.rule(config, min_coverage).prune(stats, &remaining);
+                prop_assert_eq!(&got, &fresh, "long-lived rule diverged from a fresh one");
+                prop_assert_eq!(
+                    &got,
+                    &guards.expected_verdict(stats, &config, min_coverage, &remaining),
+                    "verdict differs from build_partial + union filtering"
+                );
+                let drop: HashSet<(u32, u32)> = got.into_iter().collect();
+                driver.retain_pairs(&mut |a, b| !drop.contains(&(a, b)));
+            }
+            if !driver.step() {
+                break;
+            }
+        }
+        prop_assert!(saw_dark, "the lossy sweep produced no dark link");
+
+        // Cache invalidation. Rewinding to earlier states of the same
+        // sweep makes links *lose* evidence — a few per stage, below the
+        // bulk-refill threshold, both on well-covered rows (late stages)
+        // and on sparse ones (stages 3, 2, 1); then two unrelated stats
+        // objects with the same m, then a different m.
+        let all = |m: usize| -> Vec<(u32, u32)> {
+            (0..m as u32).flat_map(|a| (a + 1..m as u32).map(move |b| (a, b))).collect()
+        };
+        let last = history.len() - 1;
+        for at in [last - 1, last - 4, last, 3, 2, 1] {
+            prop_assert_eq!(
+                long_lived.prune(&history[at], &all(m)),
+                guards.rule(config, min_coverage).prune(&history[at], &all(m)),
+                "stale evidence leaked when rewinding to stage {}", at
+            );
+        }
+        for other_m in [m, m, m + 3] {
+            let coverage = rng.random_range(0.3..1.0);
+            let stats = random_partial_stats(&mut rng, other_m, coverage);
+            let remaining = all(other_m);
+            prop_assert_eq!(
+                long_lived.prune(&stats, &remaining),
+                guards.rule(config, min_coverage).prune(&stats, &remaining),
+                "stale evidence leaked across stats objects (m {} -> {})", m, other_m
             );
         }
     }
