@@ -5,11 +5,11 @@
 //!   sweep beats the scalar per-element walk it replaced on a realistic
 //!   sparse row shape (m = 10000, ~8 hits per row);
 //! * after one stage's worth of changed links, the long-lived
-//!   [`CandidatePruneRule`]'s incremental refresh + score reaches the
-//!   pool [`CandidateSet::build_partial`] builds from scratch, and
-//!   beats it, at m = 120 (fully measured, the `online-drift` shape)
-//!   and m = 2000 (64 ring neighbours per instance, an early partial
-//!   sweep).
+//!   [`CandidatePruneRule`]'s incremental refresh + verdicts reach, and
+//!   beat, the pool [`CandidateSet::build_partial`] builds from scratch
+//!   (point evidence) and a freshly built rule's verdicts (CI evidence),
+//!   at m = 120 (fully measured, the `online-drift` shape) and m = 2000
+//!   (64 ring neighbours per instance, an early partial sweep).
 //!
 //! The assertions keep the hot paths honest across PRs — a refactor that
 //! quietly re-introduces the per-element branches, or rebuilds the pool
@@ -134,9 +134,11 @@ fn assert_kernel_wins() {
     );
 }
 
-/// Timed assertion arm: stage by stage, the long-lived prune rule's
-/// incremental refresh + score must condemn exactly what a from-scratch
-/// `build_partial` pool implies, and take less time doing it.
+/// Timed assertion arm: stage by stage, the long-lived point rule's
+/// incremental refresh + verdicts must condemn exactly what a
+/// from-scratch `build_partial` pool implies, and the long-lived CI
+/// rule exactly what a freshly built CI rule condemns (with identical
+/// per-instance standings) — and each must take less time doing it.
 fn assert_incremental_prune_wins() {
     for (m, neighbours, pool) in [(120usize, 119usize, 40usize), (2_000, 64, 64)] {
         let mut rng = StdRng::seed_from_u64(m as u64);
@@ -148,20 +150,25 @@ fn assert_incremental_prune_wins() {
                 if (j + d) % 29 == 0 {
                     continue; // dark: attempted, never answered
                 }
+                // Two samples, so the CI rule sees bounded intervals.
+                stats.record(j, l, rng.random_range(0.2..2.0));
                 stats.record(j, l, rng.random_range(0.2..2.0));
             }
         }
         let nodes = 25;
         let incumbent: Vec<u32> = (0..nodes as u32).collect();
         let config = CandidateConfig::fixed(pool);
-        let rule = CandidatePruneRule::new(nodes, config)
-            .with_min_coverage(0.0)
-            .with_incumbent(&incumbent);
+        let guarded =
+            |rule: CandidatePruneRule| rule.with_min_coverage(0.0).with_incumbent(&incumbent);
+        let point = guarded(CandidatePruneRule::point(nodes, config));
+        let fresh_ci = || guarded(CandidatePruneRule::ci(nodes, config, 0.95));
+        let ci = fresh_ci();
         // Instance 0 is an incumbent, so `(0, j)` is condemned exactly
         // when `j` left the candidate union.
         let remaining: Vec<(u32, u32)> = (1..m as u32).map(|j| (0, j)).collect();
-        black_box(rule.prune(&stats, &remaining)); // the cold fill, untimed
-        let (mut incremental_s, mut scratch_s) = (0.0f64, 0.0f64);
+        black_box(point.prune(&stats, &remaining)); // the cold fills, untimed
+        black_box(ci.prune(&stats, &remaining));
+        let [mut incremental_s, mut scratch_s, mut ci_incremental_s, mut ci_fresh_s] = [0.0f64; 4];
         let stages = 40;
         for r in 0..stages {
             // One stage's worth of changed links: a circle-method round,
@@ -171,7 +178,7 @@ fn assert_incremental_prune_wins() {
                 stats.record(a, b, rng.random_range(0.2..2.0));
             }
             let t0 = Instant::now();
-            let condemned = rule.prune(&stats, &remaining);
+            let condemned = point.prune(&stats, &remaining);
             incremental_s += t0.elapsed().as_secs_f64();
             let t0 = Instant::now();
             let set =
@@ -183,19 +190,34 @@ fn assert_incremental_prune_wins() {
                 .filter(|&(_, j)| set.union().binary_search(&j).is_err())
                 .collect();
             assert_eq!(condemned, expected, "m {m}, stage {r}: incremental pool diverged");
+
+            let t0 = Instant::now();
+            let condemned = ci.prune(&stats, &remaining);
+            ci_incremental_s += t0.elapsed().as_secs_f64();
+            let fresh = fresh_ci();
+            let t0 = Instant::now();
+            let expected = fresh.prune(&stats, &remaining);
+            ci_fresh_s += t0.elapsed().as_secs_f64();
+            assert_eq!(condemned, expected, "m {m}, stage {r}: incremental CI verdicts diverged");
+            assert_eq!(ci.standings(&stats), fresh.standings(&stats), "m {m}, stage {r}");
         }
-        let speedup = scratch_s / incremental_s.max(1e-12);
-        println!(
-            "# prune race m={m}: build_partial {:.1}us/stage, incremental {:.1}us/stage, \
-             speedup {speedup:.2}x",
-            scratch_s / stages as f64 * 1e6,
-            incremental_s / stages as f64 * 1e6
-        );
-        assert!(
-            incremental_s < scratch_s,
-            "m {m}: incremental refresh ({incremental_s:.4}s) must beat build_partial \
-             from scratch ({scratch_s:.4}s)"
-        );
+        for (arm, incremental_s, scratch_s, against) in [
+            ("point", incremental_s, scratch_s, "build_partial"),
+            ("CI", ci_incremental_s, ci_fresh_s, "a fresh CI rule"),
+        ] {
+            println!(
+                "# prune race m={m} ({arm}): {against} {:.1}us/stage, incremental {:.1}us/stage, \
+                 speedup {:.2}x",
+                scratch_s / stages as f64 * 1e6,
+                incremental_s / stages as f64 * 1e6,
+                scratch_s / incremental_s.max(1e-12)
+            );
+            assert!(
+                incremental_s < scratch_s,
+                "m {m}: incremental {arm} refresh ({incremental_s:.4}s) must beat {against} \
+                 ({scratch_s:.4}s)"
+            );
+        }
     }
 }
 

@@ -64,6 +64,23 @@ impl LinkCi {
         timeouts: u64,
         confidence: f64,
     ) -> Self {
+        let t = if count < 2 { f64::INFINITY } else { t_critical(confidence, count - 1) };
+        Self::with_critical(count, mean, m2, attempts, timeouts, confidence, t)
+    }
+
+    /// [`LinkCi::from_parts`] with the two-sided critical value `t` at
+    /// `count − 1` degrees of freedom supplied by the caller (ignored
+    /// below two samples), for callers that price many links at one
+    /// confidence and look [`t_critical`] up by degrees of freedom.
+    pub fn with_critical(
+        count: u64,
+        mean: f64,
+        m2: f64,
+        attempts: u64,
+        timeouts: u64,
+        confidence: f64,
+        t: f64,
+    ) -> Self {
         assert!(
             confidence > 0.0 && confidence < 1.0,
             "confidence must be in (0,1), got {confidence}"
@@ -76,7 +93,7 @@ impl LinkCi {
         }
         let variance = m2 / (count - 1) as f64;
         let se = (variance / count as f64).sqrt();
-        let mut half = t_critical(confidence, count - 1) * se;
+        let mut half = t * se;
         if attempts > 0 && timeouts > 0 {
             let loss = (timeouts as f64 / attempts as f64).min(MAX_CENSOR_LOSS);
             half /= 1.0 - loss;

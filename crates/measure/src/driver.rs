@@ -20,8 +20,11 @@
 //! that decision, and [`run_pruned`] is the standard loop: evaluate the
 //! rule between stages, drop what it condemns, keep stepping. Rules must
 //! never condemn incumbent/pinned/deployed pairs — the concrete rule in
-//! `cloudia-solver` (`CandidatePruneRule`) enforces this with an explicit
-//! protected set.
+//! `cloudia-solver` (`CandidatePruneRule`, one type for point and CI
+//! evidence on one incremental evidence store) enforces this with an
+//! explicit protected set. [`run_anytime`] adds a [`StopRule`]; the
+//! concrete stop (`CiStopRule`) wraps that same prune rule, so both
+//! read one store that a stage refreshes once.
 
 use std::cell::RefCell;
 
@@ -187,7 +190,8 @@ fn drop_condemned(
 /// stop and bank the remaining round trips. The concrete rule in
 /// `cloudia-solver` (`CiStopRule`) demands CI separation at a stated
 /// confidence, which is what bounds the realized error of acting on the
-/// truncated measurement.
+/// truncated measurement; it wraps the CI prune rule and judges on that
+/// rule's evidence store.
 pub trait StopRule {
     /// True once the partial statistics make every remaining decision
     /// stable — additional samples can no longer flip a verdict at the

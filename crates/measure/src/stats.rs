@@ -228,10 +228,30 @@ impl MergeShard<'_> {
     }
 }
 
+/// A process-unique stats identity, drawn afresh on construction and on
+/// every clone, so two objects share one only while one is an unmodified
+/// copy of the other.
+#[derive(Debug)]
+struct StatsId(u64);
+
+impl StatsId {
+    fn fresh() -> Self {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        Self(NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
+    }
+}
+
+impl Clone for StatsId {
+    fn clone(&self) -> Self {
+        Self::fresh()
+    }
+}
+
 /// Pairwise link summaries for `n` instances (diagonal unused), stored
 /// as flat per-statistic columns indexed `src * n + dst`.
 #[derive(Debug, Clone)]
 pub struct PairwiseStats {
+    id: StatsId,
     n: usize,
     count: Vec<u64>,
     mean: Vec<f64>,
@@ -274,6 +294,7 @@ impl PairwiseStats {
     /// Creates empty statistics for `n` instances.
     pub fn new(n: usize) -> Self {
         Self {
+            id: StatsId::fresh(),
             n,
             count: vec![0; n * n],
             mean: vec![0.0; n * n],
@@ -641,9 +662,30 @@ impl PairwiseStats {
         &self.mean
     }
 
+    /// The per-link Welford sum-of-squared-deviations column, indexed
+    /// `src * n + dst`.
+    pub fn m2_column(&self) -> &[f64] {
+        &self.m2
+    }
+
     /// The per-link probe-attempt column, indexed `src * n + dst`.
     pub fn attempts_column(&self) -> &[u64] {
         &self.attempts
+    }
+
+    /// The per-link timed-out-probe column, indexed `src * n + dst`.
+    pub fn timeouts_column(&self) -> &[u64] {
+        &self.timeouts
+    }
+
+    /// The content version: equal versions mean equal count, mean, M2,
+    /// attempt and timeout columns. It pairs the object's identity
+    /// (fresh per construction and per clone) with the sum of its
+    /// sample, attempt and timeout totals, which every write to those
+    /// columns raises. Lets a cache keyed on the columns skip a pass
+    /// when handed the same, unchanged statistics twice.
+    pub fn version(&self) -> (u64, u64) {
+        (self.id.0, self.samples_total + self.attempts_total + self.timeouts_total)
     }
 
     /// Bytes of heap + inline memory held by this store (capacity

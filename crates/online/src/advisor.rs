@@ -14,12 +14,11 @@
 //! curve.
 
 use cloudia_core::{CommGraph, CostMatrix, Deployment, Objective, RedeployPolicy};
-use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme};
+use cloudia_measure::{FocusedScheme, ProbePlan, Scheme};
 use cloudia_netsim::Network;
 use cloudia_obs::{RingLog, RunRecorder};
 use cloudia_solver::{
-    AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, CiPruneRule, CiStopRule,
-    PoolPolicy,
+    AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, CiStopRule, PoolPolicy,
 };
 
 use crate::detect::{DetectorConfig, Drift};
@@ -114,13 +113,16 @@ pub struct OnlineAdvisorConfig {
     /// [`OnlineAdvisor::step_stream`]/[`OnlineAdvisor::run`] execute
     /// stage by stage on the streaming driver
     /// ([`cloudia_measure::SweepDriver`]), and between stages a
-    /// [`CandidatePruneRule`] drops pairs whose measured quantiles
-    /// already prove both endpoints outside every node's candidate pool.
-    /// Deployed links, detector-flagged links, and links owed a
-    /// staleness refresh are never pruned; under-measured instances
-    /// cannot be proven out. Works under both probe policies, and
-    /// focused plans additionally build their candidate clique from the
-    /// mid-sweep quantiles ([`CandidateSet::build_partial`]) instead of
+    /// [`CandidatePruneRule`] drops pairs whose endpoints the partial
+    /// statistics already prove outside every node's candidate pool — a
+    /// point rule on measured quantiles, or a CI rule on interval bounds
+    /// when `confidence` is set; both rank instances on one incremental
+    /// evidence store, refreshed once per stage. Deployed links,
+    /// detector-flagged links, and links owed a staleness refresh are
+    /// never pruned; under-measured instances cannot be proven out.
+    /// Works under both probe policies, and focused plans additionally
+    /// build their candidate clique from the mid-sweep quantiles
+    /// ([`CandidateSet::build_partial`], the same verdicts) instead of
     /// the worst-filled cost matrix. Round trips saved are re-invested
     /// into deeper sampling of flagged links (`probe_ks` escalation)
     /// rather than banked.
@@ -166,24 +168,27 @@ pub struct OnlineAdvisorConfig {
     pub loss_aware: bool,
     /// Confidence level in (0, 1) for the error-bounded decision layer
     /// (`None` disables it — the default, preserving the point-estimate
-    /// loop bit for bit). When set, three decision sites start consuming
-    /// confidence intervals instead of point estimates:
-    /// mid-sweep pruning swaps the quantile-threshold
-    /// [`CandidatePruneRule`] for a [`cloudia_solver::CiPruneRule`] that
-    /// condemns a pair only when its CI *lower* bound sits provably
-    /// outside every candidate pool; detector alarms must clear the
-    /// link's CI half-width ([`OnlineStore::mean_half_width`]) before
-    /// they count as degradations/opportunities (unseparated alarms are
-    /// still logged and still focus probes — they just cannot trigger
-    /// redeployment economics); and a repair must clear the min-gain bar
-    /// *plus* the widest deployed-link half-width, so a migration is
-    /// never bought with a gain the measurement error could explain.
+    /// loop bit for bit; a level outside (0, 1) is rejected by
+    /// [`OnlineAdvisor::new`]). When set, three decision sites start
+    /// consuming confidence intervals instead of point estimates:
+    /// mid-sweep pruning swaps the point [`CandidatePruneRule`] for its
+    /// CI form ([`CandidatePruneRule::ci`], same engine and protections),
+    /// which condemns a pair only when an endpoint's quantile of incident
+    /// CI *lower* bounds sits provably outside every candidate pool;
+    /// detector alarms must clear the link's CI half-width
+    /// ([`OnlineStore::mean_half_width`]) before they count as
+    /// degradations/opportunities (unseparated alarms are still logged
+    /// and still focus probes — they just cannot trigger redeployment
+    /// economics); and a repair must clear the min-gain bar *plus* the
+    /// widest deployed-link half-width, so a migration is never bought
+    /// with a gain the measurement error could explain.
     pub confidence: Option<f64>,
-    /// Anytime sweeps (requires `confidence` and `prune_during_sweep`):
-    /// epoch sweeps stop a stage early once every remaining prune/pool
-    /// decision is CI-stable — each instance provably in or provably out
-    /// of every pool at the configured confidence (see
-    /// [`cloudia_solver::CiStopRule`] and
+    /// Anytime sweeps (requires `confidence` and `prune_during_sweep`;
+    /// [`OnlineAdvisor::new`] rejects it otherwise): epoch sweeps stop a
+    /// stage early once every remaining prune/pool decision is CI-stable
+    /// — each instance provably in or provably out of every pool at the
+    /// configured confidence (see [`cloudia_solver::CiStopRule`], which
+    /// reads the CI prune rule's evidence store, and
     /// [`cloudia_measure::run_anytime`]). Rounds saved land in the same
     /// `saved_round_trips` ledger pruning uses. Off by default.
     pub anytime: bool,
@@ -461,8 +466,10 @@ impl OnlineAdvisor {
     ///
     /// # Panics
     /// Panics if the initial plan does not cover the graph, references
-    /// instances beyond the allocation, or a
-    /// [`ProbePolicy::Focused`] policy has `refresh_every == 0`.
+    /// instances beyond the allocation, a [`ProbePolicy::Focused`] policy
+    /// has `refresh_every == 0`, `confidence` is outside (0, 1), or
+    /// `anytime` is set without both `confidence` and
+    /// `prune_during_sweep`.
     pub fn new(
         graph: CommGraph,
         instances: usize,
@@ -485,6 +492,13 @@ impl OnlineAdvisor {
         assert!(
             config.probe_ks > 0 && config.probe_sweeps > 0,
             "probe_ks and probe_sweeps must be positive"
+        );
+        if let Some(c) = config.confidence {
+            assert!(c > 0.0 && c < 1.0, "confidence must be in (0, 1), got {c}");
+        }
+        assert!(
+            !config.anytime || (config.confidence.is_some() && config.prune_during_sweep),
+            "anytime sweeps need both confidence and prune_during_sweep"
         );
         let store = OnlineStore::new(instances, config.ewma_alpha, config.detector);
         let adaptive = match &config.candidates {
@@ -694,60 +708,32 @@ impl OnlineAdvisor {
 
     /// The prune rule the next [`OnlineAdvisor::step_stream`] epoch will
     /// evaluate between measurement stages, or `None` when
-    /// `prune_during_sweep` is off. The rule condemns pairs proven
-    /// outside every node's candidate pool by the partial quantiles, and
-    /// protects the deployed links, everything the detectors just
-    /// flagged, and every pair owed a staleness refresh.
+    /// `prune_during_sweep` is off. Without `confidence` it is a point
+    /// rule, condemning pairs the partial quantiles prove outside every
+    /// node's candidate pool; with one it is a CI rule, which demands
+    /// interval separation instead (a one-sample link's interval is
+    /// unbounded, so it never proves an endpoint out) and settles ε-ties
+    /// within `1 − confidence`. Either way it protects the
+    /// deployed links, everything the detectors just flagged, and every
+    /// pair owed a staleness refresh.
     pub fn sweep_prune_rule(&self) -> Option<CandidatePruneRule> {
         if !self.config.prune_during_sweep {
             return None;
         }
-        let pool_config = self
-            .effective_candidates()
-            .unwrap_or_else(|| CandidateConfig::fixed(2 * self.graph.num_nodes()));
-        let mut rule = CandidatePruneRule::new(self.graph.num_nodes(), pool_config)
-            .with_incumbent(&self.deployment);
-        // Deployed links are candidates by force-inclusion already, but
-        // the never-pruned guarantee should not hinge on that.
-        for &(a, b) in self.graph.edges() {
-            rule.protect_pair(self.deployment[a as usize], self.deployment[b as usize]);
-        }
-        for &(src, dst) in &self.recent_flags {
-            rule.protect_pair(src, dst);
-        }
-        let horizon = match self.config.probe_policy {
-            ProbePolicy::Focused { refresh_every, .. } => refresh_every,
-            ProbePolicy::Uniform => self.config.prune_refresh_every.max(1),
+        let nodes = self.graph.num_nodes();
+        let pool_config =
+            self.effective_candidates().unwrap_or_else(|| CandidateConfig::fixed(2 * nodes));
+        let rule = match self.config.confidence {
+            None => CandidatePruneRule::point(nodes, pool_config),
+            // The indifference margin mirrors the anytime error bound: an
+            // ε-tie at the pool boundary costs at most what the contract
+            // already concedes, so it may be settled rather than probed
+            // forever.
+            Some(c) => CandidatePruneRule::ci(nodes, pool_config, c).with_tolerance(1.0 - c),
         };
-        for (a, b) in self.store.stale_pairs(self.planning_epoch, horizon) {
-            rule.protect_pair(a, b);
-        }
-        Some(rule)
-    }
-
-    /// The CI-backed prune rule for the next epoch, or `None` unless
-    /// both `prune_during_sweep` and `confidence` are set. Same
-    /// protections as [`OnlineAdvisor::sweep_prune_rule`] (deployed
-    /// links, fresh detector flags, staleness refreshes), but condemns
-    /// only pairs whose CI *upper/lower bounds* — not point quantiles —
-    /// prove both endpoints outside every candidate pool. A one-sample
-    /// or dark link has an unbounded interval and can never be
-    /// condemned.
-    pub fn sweep_ci_prune_rule(&self) -> Option<CiPruneRule> {
-        if !self.config.prune_during_sweep {
-            return None;
-        }
-        let confidence = self.config.confidence?;
-        let pool_config = self
-            .effective_candidates()
-            .unwrap_or_else(|| CandidateConfig::fixed(2 * self.graph.num_nodes()));
-        // The indifference margin mirrors the anytime error bound: an
-        // ε-tie at the pool boundary costs at most what the contract
-        // already concedes, so it may be settled rather than probed
-        // forever.
-        let mut rule = CiPruneRule::new(self.graph.num_nodes(), pool_config, confidence)
-            .with_tolerance(1.0 - confidence)
-            .with_incumbent(&self.deployment);
+        let mut rule = rule.with_incumbent(&self.deployment);
+        // Deployed links are never proven out by force-inclusion already,
+        // but the never-pruned guarantee should not hinge on that.
         for &(a, b) in self.graph.edges() {
             rule.protect_pair(self.deployment[a as usize], self.deployment[b as usize]);
         }
@@ -765,21 +751,21 @@ impl OnlineAdvisor {
     }
 
     /// The anytime stop rule for the next epoch, or `None` unless
-    /// `anytime`, `confidence`, and `prune_during_sweep` are all set:
-    /// the sweep may end a stage early only once every instance is
-    /// provably inside or outside every candidate pool at the configured
-    /// confidence — or a sweep-equivalent of fresh samples moved no
-    /// verdict ([`CiStopRule`]). After the stop fires, only deployed and
-    /// recently flagged links keep probing (they feed the change
-    /// detectors every epoch); pairs protected merely for *staleness*
-    /// are not kept at depth, because the plateau cannot fire before a
-    /// sweep-equivalent of fresh samples — their refresh included — has
-    /// already landed.
+    /// `anytime` is set: it wraps [`OnlineAdvisor::sweep_prune_rule`]'s CI
+    /// rule, and the sweep may end a stage early only once every
+    /// instance is provably inside or outside every candidate pool at the
+    /// configured confidence — or a sweep-equivalent of fresh samples
+    /// moved no verdict ([`CiStopRule`]). After the stop fires, only
+    /// deployed and recently flagged links keep probing (they feed the
+    /// change detectors every epoch); pairs protected merely for
+    /// *staleness* are not kept at depth, because the plateau cannot fire
+    /// before a sweep-equivalent of fresh samples — their refresh
+    /// included — has already landed.
     pub fn sweep_stop_rule(&self) -> Option<CiStopRule> {
         if !self.config.anytime {
             return None;
         }
-        let rule = self.sweep_ci_prune_rule()?;
+        let rule = self.sweep_prune_rule()?;
         let mut keep: Vec<(u32, u32)> = self
             .graph
             .edges()
@@ -1310,22 +1296,15 @@ impl OnlineAdvisor {
     ///
     /// With `prune_during_sweep` the epoch executes on the streaming
     /// driver with [`OnlineAdvisor::sweep_prune_rule`] evaluated between
-    /// stages — or [`OnlineAdvisor::sweep_ci_prune_rule`] when a
-    /// confidence level is configured, plus
-    /// [`OnlineAdvisor::sweep_stop_rule`]'s anytime early stop when
-    /// `anytime` is on; with `spot_check_probes > 0` degradation alarms
-    /// are confirmed against fresh single-link probes before they may
-    /// trigger.
+    /// stages, plus [`OnlineAdvisor::sweep_stop_rule`]'s anytime early
+    /// stop when `anytime` is on (the stop wraps the prune rule, so both
+    /// read one evidence store); with `spot_check_probes > 0`
+    /// degradation alarms are confirmed against fresh single-link probes
+    /// before they may trigger.
     pub fn step_stream<S: MeasurementStream>(&mut self, stream: &mut S) -> EpochSummary {
-        // With a confidence level the CI rule replaces the quantile
-        // rule wholesale: same protections, but condemnation requires
-        // interval separation, not point-estimate separation.
-        let rule: Option<Box<dyn PruneRule>> = if self.config.confidence.is_some() {
-            self.sweep_ci_prune_rule().map(|r| Box::new(r) as Box<dyn PruneRule>)
-        } else {
-            self.sweep_prune_rule().map(|r| Box::new(r) as Box<dyn PruneRule>)
-        };
         let stop = self.sweep_stop_rule();
+        let own_rule = if stop.is_none() { self.sweep_prune_rule() } else { None };
+        let rule = stop.as_ref().map(CiStopRule::rule).or(own_rule.as_ref());
         let mut scheme = self.next_probe_scheme();
         if let (Some(s), true) = (scheme.as_mut(), self.config.prune_during_sweep) {
             if !s.plan.is_full() {
@@ -1338,13 +1317,13 @@ impl OnlineAdvisor {
             Some(s) if s.plan.is_full() && s.deep_extra_round_trips() == 0 => None,
             other => other.as_ref().map(|s| s as &dyn Scheme),
         };
-        let m = match (&rule, &stop) {
+        let m = match (rule, &stop) {
             (None, _) => match scheme_ref {
                 None => stream.next_epoch(),
                 Some(s) => stream.next_epoch_with(s),
             },
-            (Some(rule), None) => stream.next_epoch_pruned(scheme_ref, rule.as_ref()),
-            (Some(rule), Some(stop)) => stream.next_epoch_anytime(scheme_ref, rule.as_ref(), stop),
+            (Some(rule), None) => stream.next_epoch_pruned(scheme_ref, rule),
+            (Some(rule), Some(stop)) => stream.next_epoch_anytime(scheme_ref, rule, stop),
         };
         let truth = stream.network().effective_mean_matrix(self.config.timeout_ms);
         let probes = self.config.spot_check_probes;
@@ -1566,24 +1545,41 @@ mod tests {
         let mut config = fast_config();
         config.prune_during_sweep = true;
         let advisor = OnlineAdvisor::new(graph.clone(), 10, initial.clone(), config.clone());
-        assert!(advisor.sweep_prune_rule().is_some());
-        assert!(advisor.sweep_ci_prune_rule().is_none(), "no confidence: quantile rule only");
+        let point = advisor.sweep_prune_rule().expect("pruning is on");
+        assert_eq!(point.confidence(), None, "no confidence: point rule");
         assert!(advisor.sweep_stop_rule().is_none());
 
         config.confidence = Some(0.95);
         let advisor = OnlineAdvisor::new(graph.clone(), 10, initial.clone(), config.clone());
-        let rule = advisor.sweep_ci_prune_rule().expect("confidence + pruning yields the CI rule");
-        assert_eq!(rule.confidence(), 0.95);
-        // The CI rule inherits the quantile rule's protections verbatim
+        let rule = advisor.sweep_prune_rule().expect("pruning is on");
+        assert_eq!(rule.confidence(), Some(0.95));
+        // The CI rule carries the point rule's protections verbatim
         // (deployed links, flags, staleness refreshes).
-        let quantile = advisor.sweep_prune_rule().expect("pruning is on");
-        assert_eq!(rule.protected_pairs(), quantile.protected_pairs());
+        assert_eq!(rule.protected_pairs(), point.protected_pairs());
         assert!(rule.protected_pairs() >= graph.edges().len());
         assert!(advisor.sweep_stop_rule().is_none(), "anytime off: no stop rule");
 
         config.anytime = true;
         let advisor = OnlineAdvisor::new(graph, 10, initial, config);
-        assert!(advisor.sweep_stop_rule().is_some());
+        let stop = advisor.sweep_stop_rule().expect("anytime is on");
+        assert_eq!(stop.rule().confidence(), Some(0.95));
+    }
+
+    #[test]
+    #[should_panic(expected = "confidence must be in (0, 1)")]
+    fn out_of_range_confidence_is_rejected_at_construction() {
+        let (graph, _, initial) = setup(4, 10, 31);
+        let config = OnlineAdvisorConfig { confidence: Some(1.5), ..fast_config() };
+        OnlineAdvisor::new(graph, 10, initial, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "anytime sweeps need both confidence and prune_during_sweep")]
+    fn anytime_without_confidence_and_pruning_is_rejected_at_construction() {
+        let (graph, _, initial) = setup(4, 10, 31);
+        let config =
+            OnlineAdvisorConfig { anytime: true, prune_during_sweep: true, ..fast_config() };
+        OnlineAdvisor::new(graph, 10, initial, config);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::cell::RefCell;
 
 use cloudia_measure::{PairSet, PairwiseStats, PruneRule};
 
-use crate::evidence::PointEvidence;
+use crate::evidence::{Evidence, Standing};
 use crate::problem::{CostMatrix, NodeDeployment};
 
 /// How the candidate pool size `k` is chosen.
@@ -376,9 +376,16 @@ impl CandidateSet {
             (0..m as u32).collect()
         } else {
             // One cold fill of the evidence engine the mid-sweep rule
-            // refreshes incrementally, then the same scoring: the pool
-            // is computed one way, not two.
-            PointEvidence::cold(stats).pool(pool_size, config.quantile, min_coverage)
+            // refreshes incrementally, then the same verdicts: the pool
+            // is every instance not proven out.
+            let standings = Evidence::cold(stats).standings(
+                pool_size,
+                config.quantile,
+                min_coverage,
+                0.0,
+                false,
+            );
+            (0..m as u32).filter(|&j| standings[j as usize] != Standing::Out).collect()
         };
 
         Self::assemble(m, n, pool, incumbent, fixed)
@@ -575,47 +582,70 @@ impl PrunedProblem {
 }
 
 /// The mid-sweep tournament prune rule (implements
-/// [`cloudia_measure::PruneRule`]): between measurement stages it scores
-/// the candidate pool from the **partial** statistics — exactly the pool
-/// [`CandidateSet::build_partial`] would build — and condemns every
-/// remaining pair with an endpoint already proven outside the candidate
-/// union. Those links can never carry a deployment, so their remaining
+/// [`cloudia_measure::PruneRule`]): between measurement stages it ranks
+/// the instances for the candidate pool from the **partial** statistics
+/// and condemns every remaining pair with an endpoint proven outside the
+/// pool. Those links can never carry a deployment, so their remaining
 /// probes are wasted budget.
+///
+/// One rule, two kinds of evidence, one engine (the `evidence` module):
+///
+/// * **point** ([`CandidatePruneRule::point`]) scores an instance by the
+///   quantile of its incident mean costs and proves it out when it is not
+///   among the `pool_size` cheapest by `(score, id)` — exactly the pool
+///   [`CandidateSet::build_partial`] builds;
+/// * **CI** ([`CandidatePruneRule::ci`]) scores it twice, by the quantile
+///   of its incident CI *lower* bounds (the best it could still be) and
+///   *upper* bounds (the worst), and proves it out only when even its
+///   optimistic score ranks behind `pool_size` rivals' pessimistic ones.
+///   A link with fewer than two samples has the interval `[0, +∞]`, so it
+///   never counts against its endpoints on the zero variance
+///   `Welford::variance()` reports below two observations.
+///
+/// The point rule is the CI rule with zero-width intervals: its one
+/// mean-priced store serves as both scores. [`CandidatePruneRule::with_tolerance`]
+/// additionally treats scores within a relative margin of the pool
+/// boundary as ties, so clustered topologies (where whole racks score
+/// near-identically) can still be resolved: an ε-tie for the last pool
+/// slot is condemnable because keeping either side changes the
+/// achievable cost by at most the margin.
 ///
 /// Safety rails, in line with the candidate layer's contract:
 ///
-/// * **incumbent and pinned instances** are force-included in the union,
-///   so no pair among them (in particular no *deployed* link) is ever
-///   condemned;
+/// * **incumbent and pinned instances** are never proven out, so no pair
+///   among them (in particular no *deployed* link) is ever condemned;
 /// * **explicitly protected pairs** ([`CandidatePruneRule::protect_pair`]
 ///   — detector-flagged links, links owed a staleness refresh) survive
-///   even when an endpoint leaves the union;
+///   even when an endpoint is out;
 /// * **under-covered instances** (incident coverage below
-///   `min_coverage`) cannot be proven out and stay in the union, so
-///   early sweeps prune nothing they might regret.
+///   `min_coverage`) are left out of the ranking and cannot be proven
+///   out, so early sweeps prune nothing they might regret.
 ///
-/// **Cost and the one-rule-per-sweep contract.** The rule keeps an
-/// incremental evidence store (each directed link's cached price plus
-/// each instance's sorted incident prices) behind a `RefCell`. The first
+/// **Cost and the one-rule-per-sweep contract.** The rule keeps its
+/// incremental evidence (each directed link's cached price plus each
+/// instance's sorted incident prices) behind a `RefCell`. The first
 /// [`PruneRule::prune`] call fills it in bulk, O(m² + m·d log d) for `d`
 /// priced directions per instance; every later call re-prices the links
 /// from the stats columns, compares bit for bit, and moves only the
 /// prices that changed, so a stage costs one O(m²) compare pass plus
-/// O(changed · m) — not a rebuild with a selection per instance. The
-/// store is a pure function of the columns, so verdicts are identical
-/// to a freshly built rule's for *any* sequence of stats objects; but
-/// the incremental saving only materializes when consecutive calls see
-/// one sweep's growing statistics. Build one rule per sweep (as
-/// `OnlineAdvisor` does each epoch), like [`CiStopRule`].
+/// O(changed · m) — not a rebuild with a selection per instance — and an
+/// unchanged [`PairwiseStats::version`] costs nothing. The store is a
+/// pure function of the columns, so verdicts are identical to a freshly
+/// built rule's for *any* sequence of stats objects; but the incremental
+/// saving only materializes when consecutive calls see one sweep's
+/// growing statistics. Build one rule per sweep (as `OnlineAdvisor`
+/// does each epoch).
 #[derive(Debug, Clone)]
 pub struct CandidatePruneRule {
     num_nodes: usize,
     config: CandidateConfig,
+    confidence: Option<f64>,
     min_coverage: f64,
-    incumbent: Option<Vec<u32>>,
-    fixed: Option<Vec<Option<u32>>>,
+    tolerance: f64,
+    /// Incumbent and pinned instances, never proven out.
+    forced: Vec<u32>,
     protected: PairSet,
-    evidence: RefCell<PointEvidence>,
+    evidence: RefCell<Evidence>,
 }
 
 impl CandidatePruneRule {
@@ -626,19 +656,37 @@ impl CandidatePruneRule {
     /// evidence threshold.
     pub const DEFAULT_MIN_COVERAGE: f64 = 0.5;
 
-    /// A rule for problems with `num_nodes` application nodes, sizing
-    /// pools by `config` and requiring
+    /// A point-evidence rule for problems with `num_nodes` application
+    /// nodes, sizing pools by `config` and requiring
     /// [`CandidatePruneRule::DEFAULT_MIN_COVERAGE`] incident coverage
     /// before an instance may be proven out.
-    pub fn new(num_nodes: usize, config: CandidateConfig) -> Self {
+    pub fn point(num_nodes: usize, config: CandidateConfig) -> Self {
+        Self::with_evidence(num_nodes, config, None)
+    }
+
+    /// A CI-evidence rule like [`CandidatePruneRule::point`], demanding
+    /// interval separation at `confidence` before condemning anything.
+    ///
+    /// # Panics
+    /// Panics if `confidence` is outside `(0, 1)`.
+    pub fn ci(num_nodes: usize, config: CandidateConfig, confidence: f64) -> Self {
+        assert!(
+            confidence > 0.0 && confidence < 1.0,
+            "confidence must be in (0,1), got {confidence}"
+        );
+        Self::with_evidence(num_nodes, config, Some(confidence))
+    }
+
+    fn with_evidence(num_nodes: usize, config: CandidateConfig, confidence: Option<f64>) -> Self {
         Self {
             num_nodes,
             config,
+            confidence,
             min_coverage: Self::DEFAULT_MIN_COVERAGE,
-            incumbent: None,
-            fixed: None,
+            tolerance: 0.0,
+            forced: Vec::new(),
             protected: PairSet::new(),
-            evidence: RefCell::default(),
+            evidence: RefCell::new(Evidence::new(confidence)),
         }
     }
 
@@ -653,20 +701,36 @@ impl CandidatePruneRule {
         self
     }
 
-    /// Registers the incumbent deployment: its instances are
-    /// force-included in every mid-sweep pool, so deployed links are
-    /// never condemned.
-    pub fn with_incumbent(mut self, incumbent: &[u32]) -> Self {
-        assert_eq!(incumbent.len(), self.num_nodes, "incumbent must cover every node");
-        self.incumbent = Some(incumbent.to_vec());
+    /// Sets the relative indifference margin (default 0): scores within
+    /// `tolerance` of the pool boundary count as ties, so ε-tied
+    /// instances can be settled (in *or* out) instead of blocking every
+    /// decision forever. Choosing among ε-tied instances changes a
+    /// pool-restricted deployment cost by at most `tolerance` relative —
+    /// the anytime contract sets this to `1 - confidence`, the same
+    /// slack its realized-error bound concedes. 0 demands strict
+    /// separation.
+    ///
+    /// # Panics
+    /// Panics if `tolerance` is outside `[0, 1)`.
+    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
+        assert!((0.0..1.0).contains(&tolerance), "tolerance must be in [0, 1)");
+        self.tolerance = tolerance;
         self
     }
 
-    /// Registers pinned assignments; pinned instances are force-included
-    /// like incumbents.
+    /// Registers the incumbent deployment: its instances are never
+    /// proven out, so deployed links are never condemned.
+    pub fn with_incumbent(mut self, incumbent: &[u32]) -> Self {
+        assert_eq!(incumbent.len(), self.num_nodes, "incumbent must cover every node");
+        self.forced.extend_from_slice(incumbent);
+        self
+    }
+
+    /// Registers pinned assignments; pinned instances are protected like
+    /// incumbents.
     pub fn with_fixed(mut self, fixed: &[Option<u32>]) -> Self {
         assert_eq!(fixed.len(), self.num_nodes, "fixed assignments must cover every node");
-        self.fixed = Some(fixed.to_vec());
+        self.forced.extend(fixed.iter().flatten());
         self
     }
 
@@ -681,361 +745,72 @@ impl CandidatePruneRule {
     pub fn protected_pairs(&self) -> usize {
         self.protected.len()
     }
+
+    /// The confidence level of a CI rule; `None` for a point rule.
+    pub fn confidence(&self) -> Option<f64> {
+        self.confidence
+    }
+
+    /// Every instance's standing in the pool race on `stats`, the
+    /// verdicts behind both [`PruneRule::prune`] (pairs with an
+    /// [`Standing::Out`] endpoint) and [`CiStopRule`]. Incumbent and
+    /// pinned instances stand [`Standing::In`] by fiat.
+    pub fn standings(&self, stats: &PairwiseStats) -> Vec<Standing> {
+        let forced = self.forced_mask(stats.len());
+        let mut standings = self.rank(stats, true);
+        for (s, _) in standings.iter_mut().zip(&forced).filter(|(_, &f)| f) {
+            *s = Standing::In;
+        }
+        standings
+    }
+
+    /// Refreshes the evidence from `stats` and returns every instance's
+    /// standing, forced instances unmarked (`rank_in` as in
+    /// [`Evidence::standings`]).
+    fn rank(&self, stats: &PairwiseStats, rank_in: bool) -> Vec<Standing> {
+        let pool_size = self.config.pool_size(self.num_nodes, stats.len());
+        let mut evidence = self.evidence.borrow_mut();
+        evidence.refresh(stats);
+        evidence.standings(
+            pool_size,
+            self.config.quantile,
+            self.min_coverage,
+            self.tolerance,
+            rank_in,
+        )
+    }
+
+    fn forced_mask(&self, m: usize) -> Vec<bool> {
+        let mut forced = vec![false; m];
+        for &j in &self.forced {
+            forced[j as usize] = true;
+        }
+        forced
+    }
 }
 
 impl PruneRule for CandidatePruneRule {
     fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)> {
-        if stats.total_samples() == 0 {
-            return Vec::new();
-        }
         let m = stats.len();
-        let pool_size = self.config.pool_size(self.num_nodes, m);
-        if pool_size >= m {
-            // Exact pool: every instance is a candidate.
+        if stats.total_samples() == 0
+            || (self.tolerance == 0.0 && self.config.pool_size(self.num_nodes, m) >= m)
+        {
+            // Nothing measured, or an exact pool without an indifference
+            // margin: no instance can rank out.
             return Vec::new();
         }
-        let pool = {
-            let mut evidence = self.evidence.borrow_mut();
-            evidence.refresh(stats);
-            evidence.pool(pool_size, self.config.quantile, self.min_coverage)
-        };
-        // The candidate union: the pool plus incumbent and pinned
-        // instances, as `CandidateSet::build_partial` assembles it.
-        let mut member = vec![false; m];
-        let extras = self.incumbent.iter().flatten().chain(self.fixed.iter().flatten().flatten());
-        for &j in pool.iter().chain(extras) {
-            member[j as usize] = true;
-        }
-        if member.iter().all(|&x| x) {
-            return Vec::new();
-        }
+        let forced = self.forced_mask(m);
+        let out: Vec<bool> = self
+            .rank(stats, false)
+            .iter()
+            .zip(&forced)
+            .map(|(&s, &f)| s == Standing::Out && !f)
+            .collect();
         remaining
             .iter()
             .copied()
             .filter(|&(a, b)| {
-                (!member[a as usize] || !member[b as usize]) && !self.protected.contains(a, b)
-            })
-            .collect()
-    }
-}
-
-/// Per-instance candidate-pool score *intervals*, derived from the
-/// per-link confidence intervals of the partial statistics — the shared
-/// evidence engine behind [`CiPruneRule`] and [`CiStopRule`].
-///
-/// Where the point-estimate pool scores an instance by the quantile of
-/// its incident mean costs, this scores it twice: once from the incident
-/// CI *lower* bounds (the best competitive score the instance could still
-/// achieve) and once from the *upper* bounds (the worst it could be). An
-/// instance is **provably out** of every pool only when even its
-/// optimistic score is beaten by `pool_size` instances' pessimistic
-/// scores; **provably in** when even its pessimistic score beats all but
-/// fewer than `pool_size` optimistic rivals. Everything in between is
-/// still undecided and must keep measuring.
-///
-/// A nonzero `tolerance` relaxes both verdicts by a *relative
-/// indifference margin*: scores within `tolerance` of the pool boundary
-/// are treated as ties, because swapping two ε-tied instances perturbs
-/// any pool-restricted deployment cost by at most that relative margin —
-/// exactly the slack the anytime error contract already concedes. With
-/// clustered topologies whole racks share near-identical scores, so
-/// without the margin the rank test at the boundary can never settle and
-/// the anytime stop would never fire.
-#[derive(Debug)]
-struct CiScores {
-    /// Optimistic per-instance pool score (quantile of incident CI lower
-    /// bounds); 0 for under-covered or force-included instances.
-    lo: Vec<f64>,
-    /// Pessimistic per-instance pool score (quantile of incident CI
-    /// upper bounds); `+∞` for under-covered instances.
-    hi: Vec<f64>,
-    /// Instances that can never be proven out (incumbent, pinned,
-    /// under-covered).
-    forced: Vec<bool>,
-    /// Instances with incident coverage below the evidence threshold.
-    undercovered: Vec<bool>,
-    pool_size: usize,
-    /// `pool_size`-th smallest pessimistic score: an instance whose
-    /// optimistic score exceeds this is provably out.
-    out_threshold: f64,
-    /// All optimistic scores, ascending, for the provably-in rank test.
-    lo_sorted: Vec<f64>,
-    /// Relative indifference margin; 0 demands strict interval
-    /// separation.
-    tolerance: f64,
-}
-
-impl CiScores {
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        num_nodes: usize,
-        stats: &PairwiseStats,
-        config: &CandidateConfig,
-        confidence: f64,
-        min_coverage: f64,
-        tolerance: f64,
-        incumbent: Option<&[u32]>,
-        fixed: Option<&[Option<u32>]>,
-    ) -> Self {
-        let m = stats.len();
-        let pool_size = config.pool_size(num_nodes, m);
-        let mut forced = vec![false; m];
-        for &j in incumbent.into_iter().flatten() {
-            forced[j as usize] = true;
-        }
-        for &j in fixed.into_iter().flatten().flatten() {
-            forced[j as usize] = true;
-        }
-
-        // Incident CI bounds per instance, CSR-style like
-        // `build_partial`: one row-major pass over the columns, each
-        // observed (or attempted) directed link contributing its interval
-        // to both endpoints. A dark direction (attempted, never answered)
-        // is certain evidence of unreachability: `[+∞, +∞]`.
-        let count = stats.count_column();
-        let attempts = stats.attempts_column();
-        let mut deg = vec![0u32; m];
-        let mut hits: Vec<(u32, u32, f64, f64)> = Vec::new();
-        for src in 0..m {
-            let row = src * m;
-            crate::kernels::scan_row_evidence(
-                &count[row..row + m],
-                &attempts[row..row + m],
-                |dst, observed| {
-                    let (lo, hi) = if observed {
-                        let ci = stats.ci(src, dst, confidence);
-                        (ci.lower(), ci.upper())
-                    } else {
-                        (f64::INFINITY, f64::INFINITY)
-                    };
-                    hits.push((src as u32, dst as u32, lo, hi));
-                    deg[src] += 1;
-                    deg[dst] += 1;
-                },
-            );
-        }
-        let mut off = vec![0usize; m + 1];
-        for j in 0..m {
-            off[j + 1] = off[j] + deg[j] as usize;
-        }
-        let mut cursor = off.clone();
-        let mut flat_lo = vec![0.0f64; off[m]];
-        let mut flat_hi = vec![0.0f64; off[m]];
-        for &(src, dst, lo, hi) in &hits {
-            for end in [src as usize, dst as usize] {
-                flat_lo[cursor[end]] = lo;
-                flat_hi[cursor[end]] = hi;
-                cursor[end] += 1;
-            }
-        }
-
-        let mut lo = vec![0.0f64; m];
-        let mut hi = vec![f64::INFINITY; m];
-        let mut undercovered = vec![false; m];
-        for j in 0..m {
-            let incident_lo = &mut flat_lo[off[j]..off[j + 1]];
-            let coverage = incident_lo.len() as f64 / (2 * (m - 1)) as f64;
-            if incident_lo.is_empty() || coverage < min_coverage {
-                // Not enough evidence either way: optimistic 0 (never
-                // provably out), pessimistic ∞ (displaces nobody).
-                undercovered[j] = true;
-                continue;
-            }
-            let idx = ((incident_lo.len() - 1) as f64 * config.quantile).round() as usize;
-            let (_, q_lo, _) = incident_lo.select_nth_unstable_by(idx, f64::total_cmp);
-            lo[j] = *q_lo;
-            let incident_hi = &mut flat_hi[off[j]..off[j + 1]];
-            let (_, q_hi, _) = incident_hi.select_nth_unstable_by(idx, f64::total_cmp);
-            hi[j] = *q_hi;
-        }
-
-        let mut hi_sorted = hi.clone();
-        hi_sorted.sort_by(f64::total_cmp);
-        let out_threshold =
-            if pool_size == 0 || pool_size > m { f64::INFINITY } else { hi_sorted[pool_size - 1] };
-        let mut lo_sorted = lo.clone();
-        lo_sorted.sort_by(f64::total_cmp);
-        Self { lo, hi, forced, undercovered, pool_size, out_threshold, lo_sorted, tolerance }
-    }
-
-    /// True when instance `j` provably sits outside every candidate
-    /// pool: its *optimistic* score is beaten by `pool_size` instances'
-    /// *pessimistic* scores — or, with a nonzero tolerance, fails to
-    /// undercut the pool boundary by more than the indifference margin,
-    /// making it at best an ε-tie for the last pool slot. Forced or
-    /// under-covered instances are never provably out.
-    fn provably_out(&self, j: usize) -> bool {
-        !self.forced[j]
-            && !self.undercovered[j]
-            && self.lo[j] > self.out_threshold * (1.0 - self.tolerance)
-    }
-
-    /// True when instance `j` provably belongs to the pool: fewer than
-    /// `pool_size` *other* instances could even optimistically beat its
-    /// pessimistic score — with a nonzero tolerance, beat it by more
-    /// than the indifference margin, so ε-tied rivals don't displace it.
-    /// Forced instances are in by fiat; under-covered ones are never
-    /// provably anything.
-    fn provably_in(&self, j: usize) -> bool {
-        if self.forced[j] {
-            return true;
-        }
-        if self.undercovered[j] || !self.hi[j].is_finite() {
-            return false;
-        }
-        let bar = self.hi[j] * (1.0 - self.tolerance);
-        let below = self.lo_sorted.partition_point(|&x| x < bar);
-        let others = below - usize::from(self.lo[j] < bar);
-        others < self.pool_size
-    }
-}
-
-/// The CI-evidence mid-sweep prune rule (implements
-/// [`cloudia_measure::PruneRule`]) — the error-bounded replacement for
-/// [`CandidatePruneRule`]'s point-quantile condemnation. A pair is
-/// condemned only when one of its endpoints is **provably** outside every
-/// candidate pool at the rule's confidence level: even the quantile of
-/// its incident CI *lower* bounds exceeds the `pool_size`-th smallest
-/// quantile of rival CI *upper* bounds. A link with fewer than two
-/// samples has an unbounded interval, so a 1-sample endpoint can never be
-/// proven out — exactly the overconfidence the zero-variance
-/// `Welford::variance()` would otherwise smuggle in.
-///
-/// [`CiPruneRule::with_tolerance`] additionally treats scores within a
-/// relative margin of the pool boundary as ties, so clustered topologies
-/// (where whole racks score near-identically) can still be resolved: an
-/// ε-tie for the last pool slot is condemnable because keeping either
-/// side changes the achievable cost by at most the margin.
-///
-/// The same safety rails as [`CandidatePruneRule`] apply: incumbent and
-/// pinned instances are never condemned, explicitly protected pairs
-/// survive regardless of evidence, and under-covered instances stay.
-#[derive(Debug, Clone)]
-pub struct CiPruneRule {
-    num_nodes: usize,
-    config: CandidateConfig,
-    confidence: f64,
-    min_coverage: f64,
-    tolerance: f64,
-    incumbent: Option<Vec<u32>>,
-    fixed: Option<Vec<Option<u32>>>,
-    protected: PairSet,
-}
-
-impl CiPruneRule {
-    /// A rule for problems with `num_nodes` application nodes, sizing
-    /// pools by `config` and demanding CI separation at `confidence`
-    /// (strictly in `(0, 1)`) before condemning anything.
-    ///
-    /// # Panics
-    /// Panics if `confidence` is outside `(0, 1)`.
-    pub fn new(num_nodes: usize, config: CandidateConfig, confidence: f64) -> Self {
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence must be in (0,1), got {confidence}"
-        );
-        Self {
-            num_nodes,
-            config,
-            confidence,
-            min_coverage: CandidatePruneRule::DEFAULT_MIN_COVERAGE,
-            tolerance: 0.0,
-            incumbent: None,
-            fixed: None,
-            protected: PairSet::new(),
-        }
-    }
-
-    /// Sets the relative indifference margin (default 0): scores within
-    /// `tolerance` of the pool boundary count as ties, so ε-tied
-    /// instances can be settled (in *or* out) instead of blocking every
-    /// decision forever. Choosing among ε-tied instances changes a
-    /// pool-restricted deployment cost by at most `tolerance` relative —
-    /// the anytime contract sets this to `1 - confidence`, the same
-    /// slack its realized-error bound concedes. 0 demands strict
-    /// interval separation.
-    ///
-    /// # Panics
-    /// Panics if `tolerance` is outside `[0, 1)`.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!((0.0..1.0).contains(&tolerance), "tolerance must be in [0, 1)");
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Overrides the coverage threshold below which an instance cannot
-    /// be proven uncompetitive.
-    ///
-    /// # Panics
-    /// Panics if outside `[0, 1]`.
-    pub fn with_min_coverage(mut self, min_coverage: f64) -> Self {
-        assert!((0.0..=1.0).contains(&min_coverage), "min_coverage must be in [0, 1]");
-        self.min_coverage = min_coverage;
-        self
-    }
-
-    /// Registers the incumbent deployment; its instances are never
-    /// proven out, so deployed links are never condemned.
-    pub fn with_incumbent(mut self, incumbent: &[u32]) -> Self {
-        assert_eq!(incumbent.len(), self.num_nodes, "incumbent must cover every node");
-        self.incumbent = Some(incumbent.to_vec());
-        self
-    }
-
-    /// Registers pinned assignments; pinned instances are protected like
-    /// incumbents.
-    pub fn with_fixed(mut self, fixed: &[Option<u32>]) -> Self {
-        assert_eq!(fixed.len(), self.num_nodes, "fixed assignments must cover every node");
-        self.fixed = Some(fixed.to_vec());
-        self
-    }
-
-    /// Marks the unordered pair `{a, b}` as never prunable.
-    pub fn protect_pair(&mut self, a: u32, b: u32) {
-        self.protected.insert(a, b);
-    }
-
-    /// Number of explicitly protected pairs.
-    pub fn protected_pairs(&self) -> usize {
-        self.protected.len()
-    }
-
-    /// The confidence level separations are demanded at.
-    pub fn confidence(&self) -> f64 {
-        self.confidence
-    }
-
-    /// The relative indifference margin (0 unless overridden).
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
-    fn scores(&self, stats: &PairwiseStats) -> CiScores {
-        CiScores::build(
-            self.num_nodes,
-            stats,
-            &self.config,
-            self.confidence,
-            self.min_coverage,
-            self.tolerance,
-            self.incumbent.as_deref(),
-            self.fixed.as_deref(),
-        )
-    }
-}
-
-impl PruneRule for CiPruneRule {
-    fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)> {
-        if stats.total_samples() == 0 {
-            return Vec::new();
-        }
-        let scores = self.scores(stats);
-        remaining
-            .iter()
-            .copied()
-            .filter(|&(a, b)| {
-                (scores.provably_out(a as usize) || scores.provably_out(b as usize))
-                    && !self.protected.contains(a, b)
+                (out[a as usize] || out[b as usize]) && !self.protected.contains(a, b)
             })
             .collect()
     }
@@ -1043,12 +818,12 @@ impl PruneRule for CiPruneRule {
 
 /// The anytime stopping rule (implements [`cloudia_measure::StopRule`]):
 /// declares a sweep stable once every remaining prune/pool decision is
-/// CI-stable, on either of two criteria:
+/// stable under the wrapped rule's evidence, on either of two criteria:
 ///
-/// * **settled** — *every* instance's pool membership is decided at the
-///   configured confidence (provably in, provably out, or
-///   force-included), so further probing cannot change any downstream
-///   verdict beyond the wrapped rule's indifference margin; or
+/// * **settled** — *every* instance's pool membership is decided
+///   (provably in, provably out, or force-included), so further probing
+///   cannot change any downstream verdict beyond the wrapped rule's
+///   indifference margin; or
 /// * **plateau** — at least one membership has been earned on evidence
 ///   and a full re-measurement's worth of fresh samples (at least one
 ///   per remaining pair) moved *no* verdict: the sweep's marginal
@@ -1068,9 +843,11 @@ impl PruneRule for CiPruneRule {
 /// `OnlineAdvisor` does each epoch) so one sweep's trajectory never
 /// leaks into the next.
 ///
-/// Wraps a [`CiPruneRule`], sharing its pool sizing, confidence,
-/// indifference margin, and protections; by default the rule's
-/// protected pairs are reported via
+/// Wraps a [`CandidatePruneRule`] — normally a CI one — sharing its pool
+/// sizing, evidence, indifference margin, and protections. Pass
+/// [`CiStopRule::rule`] as the sweep's prune rule, and the stop and the
+/// prune read one evidence store, refreshed once per stage. By default
+/// the rule's protected pairs are reported via
 /// [`cloudia_measure::StopRule::must_keep`] so deployed/flagged links
 /// keep probing even after the stop fires.
 /// [`CiStopRule::with_must_keep`] narrows that set — e.g. pairs
@@ -1080,7 +857,7 @@ impl PruneRule for CiPruneRule {
 /// landed.
 #[derive(Debug, Clone)]
 pub struct CiStopRule {
-    rule: CiPruneRule,
+    rule: CandidatePruneRule,
     /// Unordered pairs that keep probing after the stop fires.
     keep: PairSet,
     /// `(verdict fingerprint, total samples)` at the last plateau
@@ -1093,9 +870,9 @@ pub struct CiStopRule {
 
 impl CiStopRule {
     /// Wraps `rule`; stability is judged with the rule's own pool
-    /// configuration, confidence, and indifference margin, and the
-    /// rule's protected pairs keep probing after the stop fires.
-    pub fn new(rule: CiPruneRule) -> Self {
+    /// configuration, evidence, and indifference margin, and the rule's
+    /// protected pairs keep probing after the stop fires.
+    pub fn new(rule: CandidatePruneRule) -> Self {
         let keep = rule.protected.clone();
         Self { rule, keep, checkpoint: std::cell::Cell::new(None) }
     }
@@ -1110,6 +887,11 @@ impl CiStopRule {
         self.keep = pairs.into_iter().collect();
         self
     }
+
+    /// The wrapped prune rule, whose evidence store the stop reads.
+    pub fn rule(&self) -> &CandidatePruneRule {
+        &self.rule
+    }
 }
 
 impl cloudia_measure::StopRule for CiStopRule {
@@ -1117,25 +899,25 @@ impl cloudia_measure::StopRule for CiStopRule {
         if stats.total_samples() == 0 || remaining.is_empty() {
             return false;
         }
-        let scores = self.rule.scores(stats);
+        let standings = self.rule.rank(stats, true);
+        let forced = self.rule.forced_mask(stats.len());
         let mut all_settled = true;
         let mut any_earned = false;
         let mut undercovered = false;
         // FNV-1a over the per-instance verdict vector: 1 in, 2 out,
         // 0 undecided (ε-ties canonicalize to "in").
         let mut fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
-        for j in 0..stats.len() {
-            undercovered |= scores.undercovered[j];
-            let verdict: u8 = if scores.provably_in(j) {
-                1
-            } else if scores.provably_out(j) {
-                2
-            } else {
-                0
+        for (&standing, &forced) in standings.iter().zip(&forced) {
+            undercovered |= standing == Standing::Unranked;
+            let verdict: u8 = match standing {
+                _ if forced => 1,
+                Standing::In => 1,
+                Standing::Out => 2,
+                Standing::Open | Standing::Unranked => 0,
             };
             if verdict == 0 {
                 all_settled = false;
-            } else if !scores.forced[j] {
+            } else if !forced {
                 any_earned = true;
             }
             fingerprint = (fingerprint ^ u64::from(verdict)).wrapping_mul(0x0100_0000_01b3);
@@ -1431,7 +1213,7 @@ mod tests {
         let stats = full_stats(12, 7);
         let incumbent: Vec<u32> = vec![0, 1, 2, 3];
         let mut rule =
-            CandidatePruneRule::new(4, CandidateConfig::fixed(11)).with_incumbent(&incumbent);
+            CandidatePruneRule::point(4, CandidateConfig::fixed(11)).with_incumbent(&incumbent);
         rule.protect_pair(7, 9); // flagged: survives despite 7 being out
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
@@ -1452,11 +1234,11 @@ mod tests {
 
     #[test]
     fn prune_rule_is_silent_without_samples_or_with_exact_union() {
-        let rule = CandidatePruneRule::new(3, CandidateConfig::fixed(6));
+        let rule = CandidatePruneRule::point(3, CandidateConfig::fixed(6));
         let remaining = vec![(0u32, 1u32), (1, 2)];
         assert!(rule.prune(&PairwiseStats::new(8), &remaining).is_empty());
         // Pool >= m: exact union, nothing prunable.
-        let exact = CandidatePruneRule::new(3, CandidateConfig::fixed(100));
+        let exact = CandidatePruneRule::point(3, CandidateConfig::fixed(100));
         assert!(exact.prune(&full_stats(8, 2), &remaining).is_empty());
     }
 
@@ -1480,17 +1262,29 @@ mod tests {
         let stats = full_stats_ci(12, 7, 5);
         let incumbent: Vec<u32> = vec![0, 1, 2, 3];
         let mut rule =
-            CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95).with_incumbent(&incumbent);
+            CandidatePruneRule::ci(4, CandidateConfig::fixed(6), 0.95).with_incumbent(&incumbent);
         rule.protect_pair(7, 9);
         assert_eq!(rule.protected_pairs(), 1);
-        assert_eq!(rule.confidence(), 0.95);
+        assert_eq!(rule.confidence(), Some(0.95));
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
         let condemned = rule.prune(&stats, &remaining);
-        assert!(!condemned.is_empty(), "separated intervals must allow condemnation");
+        let standings = rule.standings(&stats);
+        assert_eq!(standings[7], Standing::Out, "separated intervals must prove 7 out");
+        // The zero-width cheap intervals tie exactly at 1.0; the
+        // `(score, id)` rank keeps the six lowest ids, the rest are out.
+        for j in 0..12 {
+            let expected = if j < 6 { Standing::In } else { Standing::Out };
+            assert_eq!(standings[j], expected, "instance {j}");
+        }
+        let out = |j: u32| standings[j as usize] == Standing::Out;
+        let expected: Vec<(u32, u32)> = remaining
+            .iter()
+            .copied()
+            .filter(|&(a, b)| (out(a) || out(b)) && (a, b) != (7, 9))
+            .collect();
+        assert_eq!(condemned, expected);
         for &(a, b) in &condemned {
-            assert!(a == 7 || b == 7, "({a},{b}) condemned but both endpoints are candidates");
-            assert!((a.min(b), a.max(b)) != (7, 9), "protected pair condemned");
             assert!(
                 !(incumbent.contains(&a) && incumbent.contains(&b)),
                 "incumbent link ({a},{b}) condemned"
@@ -1518,22 +1312,29 @@ mod tests {
                 }
             }
         }
-        let rule = CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95);
+        let rule = CandidatePruneRule::ci(4, CandidateConfig::fixed(6), 0.95);
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
-        assert!(
-            rule.prune(&stats, &remaining).is_empty(),
-            "a 1-sample link was condemned on zero-variance false certainty"
+        let standings = rule.standings(&stats);
+        assert_ne!(
+            standings[7],
+            Standing::Out,
+            "a 1-sample endpoint was proven out on zero-variance false certainty"
         );
+        let out = |j: u32| standings[j as usize] == Standing::Out;
+        for (a, b) in rule.prune(&stats, &remaining) {
+            assert!(out(a) || out(b), "({a},{b}) condemned without an out endpoint");
+        }
         // With real evidence (5 samples per direction) the same instance
         // IS provably out — the guard is about sample count, not cost.
         let evidenced = full_stats_ci(m, 7, 5);
-        assert!(!rule.prune(&evidenced, &remaining).is_empty());
+        assert_eq!(rule.standings(&evidenced)[7], Standing::Out);
+        assert!(rule.prune(&evidenced, &remaining).iter().any(|&(a, b)| a == 7 || b == 7));
     }
 
     #[test]
     fn ci_rule_is_silent_without_samples() {
-        let rule = CiPruneRule::new(3, CandidateConfig::fixed(6), 0.95);
+        let rule = CandidatePruneRule::ci(3, CandidateConfig::fixed(6), 0.95);
         assert!(rule.prune(&PairwiseStats::new(8), &[(0, 1), (1, 2)]).is_empty());
     }
 
@@ -1542,7 +1343,7 @@ mod tests {
         use cloudia_measure::StopRule as _;
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
-        let mut inner = CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95);
+        let mut inner = CandidatePruneRule::ci(4, CandidateConfig::fixed(6), 0.95);
         inner.protect_pair(2, 3);
         let stop = CiStopRule::new(inner);
         // No samples: never stable.
@@ -1576,7 +1377,7 @@ mod tests {
         for _ in 0..5 {
             stats.record(7, 0, 50.0);
         }
-        let stop = CiStopRule::new(CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95));
+        let stop = CiStopRule::new(CandidatePruneRule::ci(4, CandidateConfig::fixed(6), 0.95));
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
         assert!(!stop.stable(&stats, &remaining), "under-covered instance declared settled");
@@ -1612,14 +1413,12 @@ mod tests {
         // Strict separation: the tied cluster's intervals overlap the
         // pool boundary, so nothing is condemnable and the membership
         // question never settles.
-        let strict = CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95);
-        assert_eq!(strict.tolerance(), 0.0);
+        let strict = CandidatePruneRule::ci(4, CandidateConfig::fixed(6), 0.95);
         assert!(strict.prune(&stats, &remaining).is_empty(), "strict rule condemned a near-tie");
         // With the 5% indifference margin the whole cluster is at best
         // an ε-tie for the last pool slot: provably out, condemnable,
         // and every membership verdict settles on the first evaluation.
         let tolerant = strict.clone().with_tolerance(0.05);
-        assert_eq!(tolerant.tolerance(), 0.05);
         let condemned = tolerant.prune(&stats, &remaining);
         assert!(!condemned.is_empty(), "ε-ties at the boundary were not condemned");
         for &(a, b) in &condemned {
@@ -1637,7 +1436,7 @@ mod tests {
         // Strict rule: cheap instances are provably in (earned
         // verdicts), the tied cluster stays undecided forever — only the
         // plateau criterion can ever fire.
-        let stop = CiStopRule::new(CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95));
+        let stop = CiStopRule::new(CandidatePruneRule::ci(4, CandidateConfig::fixed(6), 0.95));
         let stats = tied_boundary_stats(2);
         assert!(!stop.stable(&stats, &remaining), "stable with no checkpoint to compare against");
         assert!(!stop.stable(&stats, &remaining), "stable without any fresh evidence");
@@ -1647,7 +1446,7 @@ mod tests {
         assert!(stop.stable(&more, &remaining), "plateau after an unchanged sweep missed");
 
         // A verdict flip between checkpoints re-arms the rule instead.
-        let stop = CiStopRule::new(CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95));
+        let stop = CiStopRule::new(CandidatePruneRule::ci(4, CandidateConfig::fixed(6), 0.95));
         assert!(!stop.stable(&stats, &remaining));
         let mut flipped = tied_boundary_stats(3);
         for j in 0..11usize {
@@ -1659,7 +1458,7 @@ mod tests {
 
         // `with_must_keep` narrows the post-stop survivors away from the
         // prune protections.
-        let mut rule = CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95);
+        let mut rule = CandidatePruneRule::ci(4, CandidateConfig::fixed(6), 0.95);
         rule.protect_pair(0, 1);
         let stop = CiStopRule::new(rule.clone()).with_must_keep([(2u32, 3u32)]);
         assert!(stop.must_keep(2, 3) && stop.must_keep(3, 2));

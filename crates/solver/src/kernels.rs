@@ -1,9 +1,9 @@
 //! Pinned hot-loop kernels for the candidate-scoring sweeps.
 //!
-//! The m ≥ 10k pool builders ([`crate::CandidateSet::build_partial`],
-//! the incremental refresh behind [`crate::CandidatePruneRule`], and the
-//! CI scorer `CiScores::build` behind [`crate::CiPruneRule`]) spend their
-//! time in one scan: walk a 100k-entry row of the count and attempt
+//! The m ≥ 10k pool builders — the one prune-evidence engine's cold fill
+//! behind [`crate::CandidateSet::build_partial`] and its incremental
+//! refresh behind [`crate::CandidatePruneRule`] (point and CI evidence
+//! alike) and [`crate::CiStopRule`] — spend their time in one scan: walk a 100k-entry row of the count and attempt
 //! columns and collect the handful of observed links. The natural loop
 //! carries two branches per element (`dst != src`, then the evidence
 //! test) and its autovectorization is at the compiler's mercy; on

@@ -65,7 +65,7 @@ pub mod random;
 
 pub use candidates::{
     AdaptivePool, AdaptivePoolConfig, CandidateConfig, CandidatePruneRule, CandidateSet,
-    CiPruneRule, CiStopRule, PoolPolicy, PrunedProblem,
+    CiStopRule, PoolPolicy, PrunedProblem,
 };
 pub use cluster::CostClusters;
 pub use control::SearchControl;
@@ -73,6 +73,7 @@ pub use cp::{solve_llndp_cp, solve_llndp_cp_with, CpConfig, Propagation};
 pub use encodings::{
     solve_llndp_mip, solve_llndp_mip_with, solve_lpndp_mip, solve_lpndp_mip_with, MipConfig,
 };
+pub use evidence::Standing;
 pub use greedy::{solve_greedy, solve_greedy_fixed, GreedyVariant};
 pub use mip::{solve_mip, solve_mip_with, MipEngineConfig, MipHooks};
 pub use outcome::{Budget, Objective, SolveOutcome};

@@ -320,20 +320,41 @@ impl Guards {
         Self { incumbent, fixed, protected }
     }
 
-    /// A fresh point-quantile rule carrying these guards.
+    /// A fresh point rule carrying these guards.
     fn rule(
         &self,
         config: cloudia_solver::CandidateConfig,
         min_coverage: f64,
     ) -> cloudia_solver::CandidatePruneRule {
-        let mut rule = cloudia_solver::CandidatePruneRule::new(self.incumbent.len(), config)
-            .with_min_coverage(min_coverage)
-            .with_incumbent(&self.incumbent)
-            .with_fixed(&self.fixed);
+        let rule = cloudia_solver::CandidatePruneRule::point(self.incumbent.len(), config);
+        self.guard(rule.with_min_coverage(min_coverage))
+    }
+
+    /// A fresh CI rule at 95% confidence carrying these guards.
+    fn ci_rule(
+        &self,
+        config: cloudia_solver::CandidateConfig,
+        min_coverage: f64,
+        tolerance: f64,
+    ) -> cloudia_solver::CandidatePruneRule {
+        let rule = cloudia_solver::CandidatePruneRule::ci(self.incumbent.len(), config, 0.95);
+        self.guard(rule.with_min_coverage(min_coverage).with_tolerance(tolerance))
+    }
+
+    fn guard(
+        &self,
+        rule: cloudia_solver::CandidatePruneRule,
+    ) -> cloudia_solver::CandidatePruneRule {
+        let mut rule = rule.with_incumbent(&self.incumbent).with_fixed(&self.fixed);
         for &(a, b) in &self.protected {
             rule.protect_pair(a, b);
         }
         rule
+    }
+
+    /// Incumbent and pinned instances.
+    fn forced(&self) -> Vec<u32> {
+        self.incumbent.iter().copied().chain(self.fixed.iter().flatten().copied()).collect()
     }
 
     /// What the rule must condemn: `build_partial`'s union, then every
@@ -370,6 +391,135 @@ impl Guards {
     }
 }
 
+/// The CI rule's interval scorer as it was before the one evidence
+/// engine — every instance's incident `PairwiseStats::ci` bounds
+/// collected from scratch, the quantile selected from each — with exact
+/// score ties broken by `(score, id)` and under-covered instances left
+/// out of the ranking (they still count as rivals that could undercut
+/// anyone). Forced instances stand in by fiat.
+fn reference_ci_standings(
+    stats: &cloudia_measure::PairwiseStats,
+    pool_size: usize,
+    quantile: f64,
+    min_coverage: f64,
+    tolerance: f64,
+    forced: &[u32],
+) -> Vec<cloudia_solver::Standing> {
+    use cloudia_solver::Standing;
+    let m = stats.len();
+    let scores: Vec<Option<(f64, f64)>> = (0..m)
+        .map(|j| {
+            let (mut lo, mut hi) = (Vec::new(), Vec::new());
+            for l in (0..m).filter(|&l| l != j) {
+                for (src, dst) in [(j, l), (l, j)] {
+                    let link = stats.link(src, dst);
+                    if link.count() > 0 {
+                        let ci = stats.ci(src, dst, 0.95);
+                        lo.push(ci.lower());
+                        hi.push(ci.upper());
+                    } else if link.attempts() > 0 {
+                        lo.push(f64::INFINITY);
+                        hi.push(f64::INFINITY);
+                    }
+                }
+            }
+            if lo.is_empty() || (lo.len() as f64 / (2 * (m - 1)) as f64) < min_coverage {
+                return None;
+            }
+            let idx = ((lo.len() - 1) as f64 * quantile).round() as usize;
+            lo.sort_by(f64::total_cmp);
+            hi.sort_by(f64::total_cmp);
+            Some((lo[idx], hi[idx]))
+        })
+        .collect();
+    let before = |a: (f64, usize), b: (f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt();
+    let mut ranked: Vec<(f64, usize)> =
+        (0..m).filter_map(|j| scores[j].map(|(_, hi)| (hi, j))).collect();
+    ranked.sort_by(|&a, &b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let boundary = (pool_size >= 1 && pool_size <= ranked.len()).then(|| {
+        let (score, id) = ranked[pool_size - 1];
+        (score * (1.0 - tolerance), id)
+    });
+    (0..m)
+        .map(|j| {
+            if forced.contains(&(j as u32)) {
+                return Standing::In;
+            }
+            let Some((lo, hi)) = scores[j] else {
+                return Standing::Unranked;
+            };
+            if boundary.is_some_and(|b| before(b, (lo, j))) {
+                return Standing::Out;
+            }
+            if hi.is_finite() {
+                let bar = (hi * (1.0 - tolerance), j);
+                let rivals = (0..m)
+                    .filter(|&k| k != j && scores[k].is_none_or(|(lo_k, _)| before((lo_k, k), bar)))
+                    .count();
+                if rivals < pool_size {
+                    return Standing::In;
+                }
+            }
+            Standing::Open
+        })
+        .collect()
+}
+
+/// The point rule's verdict as it was before it shared the interval
+/// engine: `build_partial`'s pool (under-covered instances plus the
+/// `pool_size` cheapest by incident-mean quantile, ties by id), widened
+/// by the incumbent and pinned instances, then every unprotected
+/// remaining pair with an endpoint outside it.
+fn reference_point_verdict(
+    stats: &cloudia_measure::PairwiseStats,
+    guards: &Guards,
+    config: &cloudia_solver::CandidateConfig,
+    min_coverage: f64,
+    remaining: &[(u32, u32)],
+) -> Vec<(u32, u32)> {
+    let m = stats.len();
+    let pool_size = config.pool_size(guards.incumbent.len(), m);
+    if stats.total_samples() == 0 || pool_size >= m {
+        return Vec::new();
+    }
+    let mut member = vec![false; m];
+    let mut scored: Vec<(f64, usize)> = Vec::new();
+    for j in 0..m {
+        let mut incident = Vec::new();
+        for l in (0..m).filter(|&l| l != j) {
+            for link in [stats.link(j, l), stats.link(l, j)] {
+                if link.count() > 0 {
+                    incident.push(link.mean());
+                } else if link.attempts() > 0 {
+                    incident.push(f64::INFINITY);
+                }
+            }
+        }
+        if incident.is_empty() || (incident.len() as f64 / (2 * (m - 1)) as f64) < min_coverage {
+            member[j] = true;
+        } else {
+            let idx = ((incident.len() - 1) as f64 * config.quantile).round() as usize;
+            incident.sort_by(f64::total_cmp);
+            scored.push((incident[idx], j));
+        }
+    }
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    for &(_, j) in scored.iter().take(pool_size) {
+        member[j] = true;
+    }
+    for j in guards.forced() {
+        member[j as usize] = true;
+    }
+    remaining
+        .iter()
+        .copied()
+        .filter(|&(a, b)| {
+            (!member[a as usize] || !member[b as usize])
+                && !guards.protected.contains(&(a.min(b), a.max(b)))
+        })
+        .collect()
+}
+
 // The mid-sweep prune rule's safety contract. Whatever
 // partial statistics a sweep has accumulated, the rule never condemns a
 // protected pair (deployed links, flagged links, staleness refreshes),
@@ -386,7 +536,7 @@ proptest! {
         coverage in 0.0f64..1.0,
     ) {
         use cloudia_measure::PruneRule;
-        use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet, CiPruneRule};
+        use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet};
         use rand::{rngs::StdRng, Rng, SeedableRng};
 
         let n = 5usize;
@@ -430,13 +580,7 @@ proptest! {
         // the identical contract: protected pairs and incumbent/pinned
         // endpoints are never condemned, whatever the partial evidence.
         let tolerance = if rng.random::<bool>() { 0.05 } else { 0.0 };
-        let mut ci_rule = CiPruneRule::new(n, config, 0.95)
-            .with_tolerance(tolerance)
-            .with_incumbent(incumbent)
-            .with_fixed(fixed);
-        for &(a, b) in protected {
-            ci_rule.protect_pair(a, b);
-        }
+        let ci_rule = guards.ci_rule(config, CandidatePruneRule::DEFAULT_MIN_COVERAGE, tolerance);
         for &(a, b) in &ci_rule.prune(&stats, &remaining) {
             let key = (a.min(b), a.max(b));
             prop_assert!(!protected.contains(&key), "protected pair {key:?} CI-condemned");
@@ -456,9 +600,9 @@ proptest! {
         min_coverage in 0.0f64..0.8,
         blackout in 0.1f64..0.5,
     ) {
-        use cloudia_measure::{MeasureConfig, PruneRule, Scheme, Staged};
+        use cloudia_measure::{MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged, StopRule};
         use cloudia_netsim::{Cloud, InstanceId, LossPlane, Provider};
-        use cloudia_solver::CandidateConfig;
+        use cloudia_solver::{CandidateConfig, CiStopRule};
         use rand::{rngs::StdRng, Rng, SeedableRng};
         use std::collections::HashSet;
 
@@ -468,7 +612,11 @@ proptest! {
         // through a lossy sweep. Blacking out the first sweep's probe
         // direction of random pairs makes them go dark (attempted, never
         // answered) before any pruning can start, so `+∞` prices enter,
-        // and later leave, the sorted lists.
+        // and later leave, the sorted lists. The same holds for the CI
+        // rule, strict and with the indifference margin, driven through
+        // the stop rule that wraps it (stop and prune share its store):
+        // its condemnations and per-instance standings equal a fresh CI
+        // rule's and the from-scratch interval reference's.
         let n = 4usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cloud = Cloud::boot(Provider::test_quiet(), seed);
@@ -486,6 +634,33 @@ proptest! {
         let guards = Guards::random(&mut rng, n, m);
         let config = CandidateConfig { quantile, ..CandidateConfig::fixed(pool_k) };
         let long_lived = guards.rule(config, min_coverage);
+        let tolerances = [0.0, 0.05];
+        let stops: Vec<CiStopRule> = tolerances
+            .iter()
+            .map(|&tol| CiStopRule::new(guards.ci_rule(config, min_coverage, tol)))
+            .collect();
+        let check_ci = |stats: &PairwiseStats, remaining: &[(u32, u32)]| {
+            for (stop, &tol) in stops.iter().zip(&tolerances) {
+                let fresh = guards.ci_rule(config, min_coverage, tol);
+                stop.stable(stats, remaining);
+                let got = stop.rule().standings(stats);
+                prop_assert_eq!(&got, &fresh.standings(stats), "CI standings diverged (tol {})", tol);
+                let reference = reference_ci_standings(
+                    stats,
+                    config.pool_size(n, stats.len()),
+                    quantile,
+                    min_coverage,
+                    tol,
+                    &guards.forced(),
+                );
+                prop_assert_eq!(&got, &reference, "CI standings differ from the reference (tol {})", tol);
+                prop_assert_eq!(
+                    stop.rule().prune(stats, remaining),
+                    fresh.prune(stats, remaining),
+                    "long-lived CI rule diverged from a fresh one (tol {})", tol
+                );
+            }
+        };
 
         // Three sweeps: the third re-measures the first's directions, so
         // cached prices move (removal and re-insertion), not just arrive.
@@ -509,6 +684,7 @@ proptest! {
                     &guards.expected_verdict(stats, &config, min_coverage, &remaining),
                     "verdict differs from build_partial + union filtering"
                 );
+                check_ci(stats, &remaining);
                 let drop: HashSet<(u32, u32)> = got.into_iter().collect();
                 driver.retain_pairs(&mut |a, b| !drop.contains(&(a, b)));
             }
@@ -533,6 +709,7 @@ proptest! {
                 guards.rule(config, min_coverage).prune(&history[at], &all(m)),
                 "stale evidence leaked when rewinding to stage {}", at
             );
+            check_ci(&history[at], &all(m));
         }
         for other_m in [m, m, m + 3] {
             let coverage = rng.random_range(0.3..1.0);
@@ -543,6 +720,7 @@ proptest! {
                 guards.rule(config, min_coverage).prune(&stats, &remaining),
                 "stale evidence leaked across stats objects (m {} -> {})", m, other_m
             );
+            check_ci(&stats, &remaining);
         }
     }
 
@@ -553,7 +731,7 @@ proptest! {
     ) {
         use cloudia_measure::{run_anytime, MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged};
         use cloudia_netsim::{Cloud, Provider};
-        use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiPruneRule, CiStopRule};
+        use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiStopRule};
 
         // Isolate the *early stop*: pruning is disabled, so the only way
         // the anytime run differs from the full run is the stop cutting
@@ -577,7 +755,7 @@ proptest! {
         // min_coverage 1.0: the stop may not fire until every incident
         // direction of every instance is measured; the indifference
         // margin lets near-tied clusters settle so it can actually fire.
-        let ci = CiPruneRule::new(nodes, pool, 0.95)
+        let ci = CandidatePruneRule::ci(nodes, pool, 0.95)
             .with_min_coverage(1.0)
             .with_tolerance(0.05);
         let stop = CiStopRule::new(ci);
@@ -588,7 +766,7 @@ proptest! {
         // cost and the stop cannot fire before full coverage, so however
         // early it truncated the schedule, the point-quantile rule must
         // reach identical condemnation verdicts afterwards.
-        let post = CandidatePruneRule::new(nodes, pool);
+        let post = CandidatePruneRule::point(nodes, pool);
         let remaining: Vec<(u32, u32)> =
             (0..m as u32).flat_map(|a| (a + 1..m as u32).map(move |b| (a, b))).collect();
         let mut from_full = post.prune(&full.stats, &remaining);
@@ -659,6 +837,57 @@ proptest! {
                 a.node_candidates(v), b.node_candidates(v),
                 "node {} candidate list diverged", v
             );
+        }
+    }
+}
+
+// Point mode is the CI rule at zero width, and it still condemns exactly
+// what the point rule always did: `build_partial`'s pool plus the union
+// filter — including dark (`+∞`) scores and deliberately tied means.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn point_mode_condemns_what_the_point_rule_always_did(
+        seed in 0u64..1000,
+        m in 6usize..22,
+        pool_k in 2usize..12,
+        quantile in 0.0f64..1.0,
+        min_coverage in 0.0f64..0.9,
+        coverage in 0.2f64..1.0,
+        dark in 0.0f64..0.4,
+    ) {
+        use cloudia_measure::{PairwiseStats, PruneRule};
+        use cloudia_solver::CandidateConfig;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let n = 3usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let guards = Guards::random(&mut rng, n, m);
+        let config = CandidateConfig { quantile, ..CandidateConfig::fixed(pool_k) };
+        let long_lived = guards.rule(config, min_coverage);
+        let remaining: Vec<(u32, u32)> =
+            (0..m as u32).flat_map(|a| (a + 1..m as u32).map(move |b| (a, b))).collect();
+        for _ in 0..3 {
+            // Means from three values, so quantile scores tie exactly.
+            let mut stats = PairwiseStats::new(m);
+            for i in 0..m {
+                for j in (0..m).filter(|&j| j != i) {
+                    let roll = rng.random::<f64>();
+                    if roll < dark {
+                        stats.record_attempt(i, j);
+                    } else if roll < dark + coverage * (1.0 - dark) {
+                        let mean = [1.0, 1.5, 2.0][rng.random_range(0..3usize)];
+                        for _ in 0..rng.random_range(1..3usize) {
+                            stats.record_attempt(i, j);
+                            stats.record(i, j, mean);
+                        }
+                    }
+                }
+            }
+            let expected = reference_point_verdict(&stats, &guards, &config, min_coverage, &remaining);
+            prop_assert_eq!(guards.rule(config, min_coverage).prune(&stats, &remaining), expected.clone());
+            prop_assert_eq!(long_lived.prune(&stats, &remaining), expected);
         }
     }
 }

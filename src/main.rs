@@ -50,9 +50,9 @@ fn usage() -> ! {
                                                intervals at level C; pruning, drift alarms and
                                                repair acceptance demand interval separation
                                                instead of point estimates)
-               [--anytime]                    (online: with --confidence and --prune-during-sweep,
-                                               end each sweep early once every remaining
-                                               prune/pool decision is CI-stable)
+               [--anytime]                    (online: requires --confidence and
+                                               --prune-during-sweep; end each sweep early once
+                                               every remaining prune/pool decision is CI-stable)
                [--spot-check K]               (online: confirm a degradation alarm with K fresh
                                                single-link probes before repairing; 0 = off)
                [--loss P]                     (online: per-link per-direction drop probability,
@@ -309,6 +309,10 @@ fn main() {
                 usage();
             }
         }
+    }
+    if anytime && (confidence.is_none() || !prune_during_sweep) {
+        eprintln!("--anytime needs both --confidence and --prune-during-sweep");
+        usage();
     }
 
     let provider = match provider_name.as_str() {
@@ -636,12 +640,6 @@ fn run_online(
         loss_aware: !loss_opts.blind,
         ..OnlineAdvisorConfig::default()
     };
-    if anytime && (confidence.is_none() || !prune_during_sweep) {
-        human!(
-            "note: --anytime needs both --confidence and --prune-during-sweep; the early stop \
-             stays off"
-        );
-    }
     let mut advisor = OnlineAdvisor::new(
         graph.clone(),
         outcome.network.len(),

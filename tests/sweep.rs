@@ -30,7 +30,7 @@ fn pruned_sweep_converges_on_the_candidate_clique() {
 
     let first = scheme.run(&net, &cfg);
     let incumbent: Vec<u32> = (0..4).collect();
-    let rule = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_incumbent(&incumbent);
+    let rule = CandidatePruneRule::point(4, CandidateConfig::fixed(6)).with_incumbent(&incumbent);
 
     let pruned = cloudia::measure::run_pruned(&scheme, &net, &cfg, first.stats.clone(), &rule);
     assert!(pruned.saved_round_trips > 0, "warm statistics must enable pruning");
